@@ -47,7 +47,7 @@ process):
                         — socket reads and protocol/chunk field decodes in
                         src/serve (recv, ParseJsonObject, the JsonObject
                         getters, ChunkCodec::Decode), CSV fields in
-                        src/data (SplitCsvLine, strtod/strtoll), and
+                        src/data (CsvTokenizer::field, strtod/strtoll), and
                         checkpoint payload reads in src/stream
                         (DecodeCheckpoint, Cursor::Read*). Taint
                         propagates through assignments and the cross-TU
@@ -314,7 +314,7 @@ UNTRUSTED_RETURNING = {
     "ParseJsonObject", "Find", "GetString", "GetInt", "GetUint",
     "GetDouble", "GetDoubleArray", "GetStringArray",
     # CSV fields (data/csv.h) and chunk/checkpoint payloads
-    "ReadObservationsCsv", "SplitCsvLine", "Decode", "DecodeCheckpoint",
+    "ReadObservationsCsv", "field", "Decode", "DecodeCheckpoint",
 }
 # Checkpoint/payload cursor reads taint their out-parameter:
 # `cursor.ReadU64(&count)` makes `count` untrusted.

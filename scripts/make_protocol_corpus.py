@@ -4,15 +4,18 @@
 Writes request/reply lines in the crh_serve wire format (flat JSON, one
 object per line — serve/protocol.h) into fuzz/corpus/protocol, and
 observation CSV over the chunk_codec_fuzz.cc fixed universe (objects
-o0..o7, sources s0..s3, continuous "x" + categorical "y" with labels
-a/b/c) into fuzz/corpus/chunk_codec. Pure Python: external tooling can
-speak both formats without linking the C++ code.
+o0..o7 plus `o,8` and `o"9`, sources s0..s3, continuous "x" + categorical
+"y" with labels a/b/c) into fuzz/corpus/chunk_codec. Pure Python: external
+tooling can speak both formats without linking the C++ code.
 
 Protocol seeds cover every scalar kind, both array kinds, escape
 sequences, real ingest/status/weights traffic, and rejection paths
 (malformed syntax, nested aggregates, over-limit field counts). Chunk
 seeds cover valid single- and multi-claim chunks, quarantine-relevant
-unknown labels, unknown entities, and malformed CSV.
+unknown labels, unknown entities, and malformed CSV, plus inputs that take
+the decoder's slower paths: quoted ids with commas and doubled quotes,
+CRLF line ends, '+'-prefixed and underflowing numbers (which std::from_chars
+leaves to strtod), and repeated claims (the last one wins).
 
 Usage: scripts/make_protocol_corpus.py  (writes into the repo tree)
 """
@@ -75,6 +78,15 @@ def chunk_seeds() -> dict[str, str]:
         "header_only": CSV_HEADER,
         "malformed_row": CSV_HEADER + "o0,x\n",
         "empty": "",
+        "quoted_ids": CSV_HEADER + '"o,8",x,s0,2.5\n"o""9",y,"s1",a\n"o0",x,s2,-0\n',
+        "crlf": CSV_HEADER.replace("\n", "\r\n")
+        + "o1,x,s0,1.5\r\n\r\n\"o,8\",y,s3,c\r\n",
+        "plus_and_underflow": CSV_HEADER
+        + "o2,x,s0,+1.5\no3,x,s1,1e-400\no4,x,s2,-1e-400\n"
+        + "o5,x,s3,4.9406564584124654e-324\no6,x,s0,.5\no7,x,s1,5.\n",
+        "duplicate_claims": CSV_HEADER
+        + "o0,x,s0,1\no0,y,s0,a\no0,x,s0,2\no0,y,s0,b\n\"o\"\"9\",x,s0,3\no\"9,x,s0,4\n",
+        "bad_number_then_malformed": CSV_HEADER + "o0,x,s0,1e\no1,x\n",
     }
 
 

@@ -10,10 +10,11 @@
 /// plain arrays indexed by CategoryId.
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/value.h"
+#include "data/id_index.h"
 
 namespace crh {
 
@@ -21,19 +22,14 @@ namespace crh {
 class CategoryDict {
  public:
   /// Returns the id of \p label, interning it if new.
-  CategoryId GetOrAdd(const std::string& label) {
-    auto it = index_.find(label);
-    if (it != index_.end()) return it->second;
-    CategoryId id = static_cast<CategoryId>(labels_.size());
-    index_.emplace(label, id);
-    labels_.push_back(label);
-    return id;
+  CategoryId GetOrAdd(std::string_view label) {
+    return static_cast<CategoryId>(index_.FindOrAdd(label, &labels_));
   }
 
   /// Returns the id of \p label, or kInvalidCategory if not interned.
-  CategoryId Find(const std::string& label) const {
-    auto it = index_.find(label);
-    return it == index_.end() ? kInvalidCategory : it->second;
+  CategoryId Find(std::string_view label) const {
+    const size_t id = index_.Find(label, labels_);
+    return id == IdIndex::kNotFound ? kInvalidCategory : static_cast<CategoryId>(id);
   }
 
   /// The label for an interned id. Precondition: 0 <= id < size().
@@ -48,7 +44,7 @@ class CategoryDict {
 
  private:
   std::vector<std::string> labels_;
-  std::unordered_map<std::string, CategoryId> index_;
+  IdIndex index_;  ///< Over labels_.
 };
 
 }  // namespace crh

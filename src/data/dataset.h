@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,11 @@ class Dataset {
     return source_ids_[k];
   }
 
+  /// All object names, in index order.
+  const std::vector<std::string>& object_ids() const { return object_ids_; }
+  /// All source names, in index order.
+  const std::vector<std::string>& source_ids() const { return source_ids_; }
+
   /// Observation table of source k (X^(k)).
   const ValueTable& observations(size_t k) const {
     CRH_DCHECK_LT(k, observations_.size());
@@ -88,7 +94,7 @@ class Dataset {
   }
 
   /// Interns a label for categorical property m and returns its Value.
-  Value InternCategorical(size_t m, const std::string& label) {
+  Value InternCategorical(size_t m, std::string_view label) {
     return Value::Categorical(dicts_[m].GetOrAdd(label));
   }
 

@@ -6,17 +6,19 @@ Status Schema::AddProperty(Property property) {
   if (property.name.empty()) {
     return Status::InvalidArgument("property name must be non-empty");
   }
-  if (index_.count(property.name) > 0) {
+  if (FindProperty(property.name) >= 0) {
     return Status::AlreadyExists("property '" + property.name + "' already defined");
   }
-  index_.emplace(property.name, properties_.size());
   properties_.push_back(std::move(property));
   return Status::OK();
 }
 
-int Schema::FindProperty(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? -1 : static_cast<int>(it->second);
+int Schema::FindProperty(std::string_view name) const {
+  // A schema holds a handful of properties: a scan beats hashing the name.
+  for (size_t m = 0; m < properties_.size(); ++m) {
+    if (properties_[m].name == name) return static_cast<int>(m);
+  }
+  return -1;
 }
 
 std::vector<size_t> Schema::PropertiesOfType(PropertyType type) const {

@@ -12,7 +12,7 @@
 /// at: 1 for integer degrees, 0.01 for prices, ...).
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -66,7 +66,7 @@ class Schema {
   }
 
   /// Index of the property with the given name, or -1 if absent.
-  int FindProperty(const std::string& name) const;
+  int FindProperty(std::string_view name) const;
 
   /// True iff property m is categorical.
   bool is_categorical(size_t m) const {
@@ -88,7 +88,6 @@ class Schema {
 
  private:
   std::vector<Property> properties_;
-  std::unordered_map<std::string, size_t> index_;
 };
 
 }  // namespace crh

@@ -1,113 +1,190 @@
 #include "serve/chunk_codec.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "data/csv.h"
 
 namespace crh {
 
-ChunkCodec::ChunkCodec(const Dataset& universe) : universe_(&universe) {
-  for (size_t i = 0; i < universe.num_objects(); ++i) {
-    object_index_[universe.object_id(i)] = i;
-  }
-  for (size_t k = 0; k < universe.num_sources(); ++k) {
-    source_index_[universe.source_id(k)] = k;
-    source_ids_.push_back(universe.source_id(k));
-  }
-}
+namespace {
 
-Result<DataChunk> ChunkCodec::Decode(const std::string& csv, int64_t window_start,
+/// Universe object index -> chunk slot, slots in first-appearance order.
+/// A chunk names a few hundred objects of a universe that may hold
+/// millions, so this is a small open-addressing table sized to the chunk.
+class ChunkObjects {
+ public:
+  /// Slot of universe object `object`, assigning the next slot if new.
+  uint32_t SlotOf(uint32_t object) {
+    if (2 * (objects_.size() + 1) > table_.size()) Grow();
+    size_t i = Home(object);
+    while (table_[i] != 0) {
+      if (objects_[table_[i] - 1] == object) return table_[i] - 1;
+      i = (i + 1) & (table_.size() - 1);
+    }
+    objects_.push_back(object);
+    table_[i] = static_cast<uint32_t>(objects_.size());
+    return table_[i] - 1;
+  }
+
+  /// Universe indices by slot.
+  const std::vector<uint32_t>& objects() const { return objects_; }
+
+ private:
+  size_t Home(uint32_t object) const {
+    return static_cast<size_t>((uint64_t{object} * 0x9e3779b97f4a7c15ull) >> 32) &
+           (table_.size() - 1);
+  }
+
+  void Grow() {
+    table_.assign(std::max<size_t>(256, 2 * table_.size()), 0);
+    for (size_t slot = 0; slot < objects_.size(); ++slot) {
+      size_t i = Home(objects_[slot]);
+      while (table_[i] != 0) i = (i + 1) & (table_.size() - 1);
+      table_[i] = static_cast<uint32_t>(slot + 1);
+    }
+  }
+
+  std::vector<uint32_t> objects_;
+  std::vector<uint32_t> table_;  ///< Slot + 1; 0 marks an empty entry.
+};
+
+}  // namespace
+
+ChunkCodec::ChunkCodec(const Dataset& universe)
+    : universe_(&universe),
+      object_index_(universe.object_ids()),
+      source_index_(universe.source_ids()) {}
+
+Result<DataChunk> ChunkCodec::Decode(std::string_view csv, int64_t window_start,
                                      bool quarantine_bad_claims) const {
   if (csv.size() > kMaxChunkCsvBytes) {
     return Status::OutOfRange(
         "ingested chunk CSV is " + std::to_string(csv.size()) +
         " bytes; the limit is " + std::to_string(kMaxChunkCsvBytes));
   }
-  std::istringstream in(csv);
-  auto parsed = ReadObservationsCsv(universe_->schema(), in);
-  if (!parsed.ok()) return parsed.status();
-  // The parsed counts come from untrusted bytes: bound them by the
-  // universe before they size anything. A chunk is always a subset of the
-  // universe's entry space, so exceeding either count is malformed input,
-  // not scale.
-  if (parsed->num_objects() > object_index_.size() ||
-      parsed->num_sources() > source_index_.size()) {
-    return Status::OutOfRange(
-        "ingested chunk names " + std::to_string(parsed->num_objects()) +
-        " objects / " + std::to_string(parsed->num_sources()) +
-        " sources, more than the universe holds (" +
-        std::to_string(object_index_.size()) + " / " +
-        std::to_string(source_index_.size()) + ")");
-  }
+  const Schema& schema = universe_->schema();
+  struct Claim {
+    uint32_t slot, source, property;
+    Value value;
+  };
+  std::vector<Claim> claims;
+  ChunkObjects objects;
+  std::vector<bool> source_named(universe_->num_sources(), false);
+  size_t sources_named = 0;
+  // Names the universe lacks still count towards the bounds check, so an
+  // oversized chunk is kOutOfRange however its extra names are spelled;
+  // only the first such row is reported otherwise.
+  std::vector<std::string> unknown_objects, unknown_sources;
+  IdIndex unknown_object_index, unknown_source_index;
+  Status first_unknown;
+  const auto first_bad_line = [&first_unknown](Status status) {
+    return first_unknown.ok() ? status : first_unknown;
+  };
 
-  // members[i] = (universe index, parsed index): ascending universe order,
-  // the order SplitByWindow emits, so iteration order — and therefore every
-  // reduction — matches the batch path bit for bit.
-  std::vector<std::pair<size_t, size_t>> members;
-  members.reserve(parsed->num_objects());
-  for (size_t i = 0; i < parsed->num_objects(); ++i) {
-    const auto it = object_index_.find(parsed->object_id(i));
-    if (it == object_index_.end()) {
-      return Status::InvalidArgument("ingested chunk names object '" +
-                                     parsed->object_id(i) +
-                                     "' absent from the universe");
+  CsvTokenizer tokenizer(csv);
+  CRH_RETURN_NOT_OK(tokenizer.ReadHeader());
+  while (true) {
+    auto more = tokenizer.NextRow();
+    if (!more.ok()) return first_bad_line(more.status());
+    if (!*more) break;
+    const Status fields = tokenizer.ExpectFields(4);
+    if (!fields.ok()) return first_bad_line(fields);
+    const int m = schema.FindProperty(tokenizer.field(1));
+    if (m < 0) {
+      return first_bad_line(tokenizer.LineError(
+          "unknown property '" + std::string(tokenizer.field(1)) + "'"));
     }
-    members.emplace_back(it->second, i);
-  }
-  std::sort(members.begin(), members.end());
-
-  std::vector<size_t> source_map(parsed->num_sources());
-  for (size_t k = 0; k < parsed->num_sources(); ++k) {
-    const auto it = source_index_.find(parsed->source_id(k));
-    if (it == source_index_.end()) {
-      return Status::InvalidArgument("ingested chunk names source '" +
-                                     parsed->source_id(k) +
-                                     "' absent from the universe");
+    const size_t property = static_cast<size_t>(m);
+    const size_t object = FindObject(tokenizer.field(0));
+    const size_t source = FindSource(tokenizer.field(2));
+    uint32_t slot = 0;
+    if (object == IdIndex::kNotFound) {
+      unknown_object_index.FindOrAdd(tokenizer.field(0), &unknown_objects);
+      if (first_unknown.ok()) {
+        first_unknown = tokenizer.LineError("ingested chunk names object '" +
+                                            std::string(tokenizer.field(0)) +
+                                            "' absent from the universe");
+      }
+    } else {
+      slot = objects.SlotOf(static_cast<uint32_t>(object));
     }
-    source_map[k] = it->second;
-  }
+    if (source == IdIndex::kNotFound) {
+      unknown_source_index.FindOrAdd(tokenizer.field(2), &unknown_sources);
+      if (first_unknown.ok()) {
+        first_unknown = tokenizer.LineError("ingested chunk names source '" +
+                                            std::string(tokenizer.field(2)) +
+                                            "' absent from the universe");
+      }
+    } else if (!source_named[source]) {
+      source_named[source] = true;
+      ++sources_named;
+    }
+    const size_t named_objects = objects.objects().size() + unknown_objects.size();
+    const size_t named_sources = sources_named + unknown_sources.size();
+    if (named_objects > universe_->num_objects() ||
+        named_sources > universe_->num_sources()) {
+      return Status::OutOfRange(
+          "ingested chunk names " + std::to_string(named_objects) + " objects / " +
+          std::to_string(named_sources) + " sources, more than the universe holds (" +
+          std::to_string(universe_->num_objects()) + " / " +
+          std::to_string(universe_->num_sources()) + ")");
+    }
+    if (!first_unknown.ok()) continue;  // only counting names from here on
 
+    const std::string_view text = tokenizer.field(3);
+    Value value;
+    if (schema.is_discrete(property)) {
+      const CategoryId id = universe_->dict(property).Find(text);
+      if (id == kInvalidCategory && !quarantine_bad_claims) {
+        return tokenizer.LineError(
+            "ingested chunk uses label '" + std::string(text) + "' for property '" +
+            schema.property(property).name +
+            "' that the universe has never seen (enable quarantine to shed such "
+            "claims instead)");
+      }
+      value = Value::Categorical(id);
+    } else {
+      double parsed = 0;
+      if (!ParseContinuousCell(text, &parsed)) {
+        return tokenizer.LineError("cannot parse continuous value '" + std::string(text) +
+                                   "'");
+      }
+      value = Value::Continuous(parsed);
+    }
+    claims.push_back({slot, static_cast<uint32_t>(source), static_cast<uint32_t>(property),
+                      value});
+  }
+  if (!first_unknown.ok()) return first_unknown;
+
+  // Chunk objects in ascending universe order, the order SplitByWindow
+  // emits, so iteration order — and therefore every reduction — matches
+  // the batch path bit for bit.
+  const std::vector<uint32_t>& named = objects.objects();
+  std::vector<std::pair<uint32_t, uint32_t>> order;  // (universe index, slot)
+  order.reserve(named.size());
+  for (uint32_t slot = 0; slot < named.size(); ++slot) order.emplace_back(named[slot], slot);
+  std::sort(order.begin(), order.end());
+  std::vector<uint32_t> local_of_slot(named.size());
   DataChunk chunk;
   chunk.window_start = window_start;
+  chunk.parent_object.reserve(order.size());
   std::vector<std::string> object_ids;
-  object_ids.reserve(members.size());
-  for (const auto& [universe_index, parsed_index] : members) {
-    (void)parsed_index;
-    chunk.parent_object.push_back(universe_index);
-    object_ids.push_back(universe_->object_id(universe_index));
+  object_ids.reserve(order.size());
+  for (size_t local = 0; local < order.size(); ++local) {
+    local_of_slot[order[local].second] = static_cast<uint32_t>(local);
+    chunk.parent_object.push_back(order[local].first);
+    object_ids.push_back(universe_->object_id(order[local].first));
   }
-  chunk.data = Dataset(universe_->schema(), std::move(object_ids), source_ids_);
-  for (size_t m = 0; m < universe_->num_properties(); ++m) {
+  chunk.data = Dataset(schema, std::move(object_ids), universe_->source_ids());
+  for (size_t m = 0; m < schema.num_properties(); ++m) {
     chunk.data.mutable_dict(m) = universe_->dict(m);
   }
-
-  for (size_t k = 0; k < parsed->num_sources(); ++k) {
-    const size_t universe_source = source_map[k];
-    for (size_t local = 0; local < members.size(); ++local) {
-      const size_t parsed_index = members[local].second;
-      for (size_t m = 0; m < universe_->num_properties(); ++m) {
-        const Value v = parsed->observations(k).Get(parsed_index, m);
-        if (v.is_missing()) continue;
-        Value translated = v;
-        if (v.is_categorical()) {
-          // Re-intern the label id from the parsed-local dictionary into
-          // the universe dictionary.
-          const std::string& label = parsed->dict(m).label(v.category());
-          const CategoryId id = universe_->dict(m).Find(label);
-          if (id == kInvalidCategory && !quarantine_bad_claims) {
-            return Status::InvalidArgument(
-                "ingested chunk uses label '" + label + "' for property '" +
-                universe_->schema().property(m).name +
-                "' that the universe has never seen (enable quarantine to "
-                "shed such claims instead)");
-          }
-          translated = Value::Categorical(id);
-        }
-        chunk.data.SetObservation(universe_source, local, m, translated);
-      }
-    }
+  // Row order: a repeated claim keeps its last value.
+  for (const Claim& c : claims) {
+    chunk.data.SetObservation(c.source, local_of_slot[c.slot], c.property, c.value);
   }
   return chunk;
 }

@@ -15,12 +15,11 @@
 /// all iterate in the same order either way.
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
 #include "data/dataset.h"
+#include "data/id_index.h"
 #include "stream/chunks.h"
 
 namespace crh {
@@ -38,24 +37,37 @@ class ChunkCodec {
   /// per-property dictionaries define the space chunks are decoded into.
   explicit ChunkCodec(const Dataset& universe);
 
-  /// Parses `csv` and builds the chunk. The payload must fit
-  /// kMaxChunkCsvBytes and may not name more objects or sources than the
-  /// universe holds (both kOutOfRange — the CSV is untrusted bytes, so its
-  /// counts are bounds-checked before they size anything). Every object
-  /// and source must exist in the universe. Categorical/text labels are re-interned against the
-  /// universe dictionary; a label the universe has never seen is an error
-  /// unless `quarantine_bad_claims` is set, in which case the claim decodes
-  /// to the invalid-category sentinel and the solver's quarantine excludes
-  /// and counts it — mirroring how the batch path treats out-of-dictionary
-  /// claims.
-  [[nodiscard]] Result<DataChunk> Decode(const std::string& csv, int64_t window_start,
+  /// Parses `csv` straight into the universe's entry space, one pass over
+  /// the bytes (data/csv.h's CsvTokenizer and ParseContinuousCell). The
+  /// payload must fit kMaxChunkCsvBytes, and the rows may not name more
+  /// distinct objects or sources than the universe holds, counting names
+  /// the universe lacks (both kOutOfRange: the CSV is untrusted bytes, so
+  /// its counts are bounds-checked before they size anything). The second
+  /// check runs as rows are read and wins over every other error; past it,
+  /// the first bad line is reported (kInvalidArgument). Every object and
+  /// source must exist in the universe. Categorical/text labels are looked
+  /// up in the universe dictionary; a label the universe has never seen is
+  /// an error unless `quarantine_bad_claims` is set, in which case the
+  /// claim decodes to the invalid-category sentinel and the solver's
+  /// quarantine excludes and counts it — mirroring how the batch path
+  /// treats out-of-dictionary claims. A repeated claim keeps its last
+  /// value.
+  [[nodiscard]] Result<DataChunk> Decode(std::string_view csv, int64_t window_start,
                                          bool quarantine_bad_claims) const;
+
+  /// Universe index of the object named `id`, or IdIndex::kNotFound.
+  size_t FindObject(std::string_view id) const {
+    return object_index_.Find(id, universe_->object_ids());
+  }
+  /// Universe index of the source named `id`, or IdIndex::kNotFound.
+  size_t FindSource(std::string_view id) const {
+    return source_index_.Find(id, universe_->source_ids());
+  }
 
  private:
   const Dataset* universe_;
-  std::map<std::string, size_t> object_index_;
-  std::map<std::string, size_t> source_index_;
-  std::vector<std::string> source_ids_;
+  IdIndex object_index_;  ///< Over universe_->object_ids().
+  IdIndex source_index_;  ///< Over universe_->source_ids().
 };
 
 }  // namespace crh

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -39,17 +40,8 @@ CrhServer::CrhServer(const Dataset& universe, const IncrementalCrhOptions& optio
       options_(options),
       resilience_(resilience),
       serve_(std::move(serve)),
-      queue_(serve_.ingest_queue_capacity) {
-  for (size_t i = 0; i < universe.num_objects(); ++i) {
-    object_index_[universe.object_id(i)] = i;
-  }
-  for (size_t m = 0; m < universe.schema().num_properties(); ++m) {
-    property_index_[universe.schema().property(m).name] = m;
-  }
-  for (size_t k = 0; k < universe.num_sources(); ++k) {
-    source_index_[universe.source_id(k)] = k;
-  }
-}
+      codec_(universe),
+      queue_(serve_.ingest_queue_capacity) {}
 
 CrhServer::~CrhServer() {
   if (started_) {
@@ -63,7 +55,6 @@ Status CrhServer::Start() {
   auto engine = StreamEngine::Open(*universe_, options_, resilience_);
   if (!engine.ok()) return engine.status();
   engine_ = std::move(engine).ValueOrDie();
-  codec_ = std::make_unique<ChunkCodec>(*universe_);
   // Epoch 0 is visible before the first chunk: a freshly started (or
   // freshly resumed) server answers queries immediately.
   PublishFromEngine();
@@ -341,12 +332,19 @@ void CrhServer::ConnectionThread(uint64_t id, int fd) {
 }
 
 void CrhServer::ConnectionLoop(int fd) {
+  // buffer[consumed, size) holds the bytes not yet handled, of which
+  // [consumed, scanned) are known to hold no newline: each byte is searched
+  // once however many receives a long line takes, and handled lines are
+  // skipped by offset, not erased one at a time.
   std::string buffer;
+  size_t consumed = 0;
+  size_t scanned = 0;
   int idle_ms = 0;
   while (!stop_.load(std::memory_order_acquire)) {
-    const size_t newline = buffer.find('\n');
+    const size_t newline = buffer.find('\n', scanned);
     if (newline == std::string::npos) {
-      if (buffer.size() > serve_.max_request_bytes) {
+      scanned = buffer.size();
+      if (buffer.size() - consumed > serve_.max_request_bytes) {
         (void)SendLine(fd, ErrorReply("bad_request", "request line too large"));
         return;
       }
@@ -366,7 +364,7 @@ void CrhServer::ConnectionLoop(int fd) {
           // past io_timeout_ms without progress.
           idle_ms += serve_.poll_interval_ms;
           if (idle_ms >= serve_.io_timeout_ms) {
-            if (!buffer.empty()) {
+            if (buffer.size() > consumed) {
               (void)SendLine(fd, ErrorReply("deadline", "request read deadline exceeded"));
             }
             return;
@@ -378,12 +376,20 @@ void CrhServer::ConnectionLoop(int fd) {
         return;
       }
       idle_ms = 0;
+      if (consumed > 0 && consumed >= buffer.size() - consumed) {
+        // Handled lines are at least half the buffer: drop them, so a
+        // long-lived pipelining connection does not grow it (amortized
+        // O(1) a byte).
+        buffer.erase(0, consumed);
+        scanned -= consumed;
+        consumed = 0;
+      }
       buffer.append(chunk, static_cast<size_t>(n));
       continue;
     }
-    std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    std::string_view line(buffer.data() + consumed, newline - consumed);
+    consumed = scanned = newline + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (!SendLine(fd, HandleRequestLine(line))) return;
   }
@@ -413,7 +419,7 @@ bool CrhServer::SendLine(int fd, const std::string& line) {
   return true;
 }
 
-std::string CrhServer::HandleRequestLine(const std::string& line) {
+std::string CrhServer::HandleRequestLine(std::string_view line) {
   auto parsed = ParseJsonObject(line, serve_.max_request_bytes);
   if (!parsed.ok()) return ErrorReply("bad_request", parsed.status().message());
   auto cmd = parsed->GetString("cmd");
@@ -451,17 +457,18 @@ std::string CrhServer::HandleTruth(const JsonObject& request) {
   if (!object.ok()) return ErrorReply("bad_request", object.status().message());
   auto property = request.GetString("property");
   if (!property.ok()) return ErrorReply("bad_request", property.status().message());
-  const auto object_it = object_index_.find(*object);
-  if (object_it == object_index_.end()) {
+  const size_t object_index = codec_.FindObject(*object);
+  if (object_index == IdIndex::kNotFound) {
     return ErrorReply("not_found", "unknown object '" + *object + "'");
   }
-  const auto property_it = property_index_.find(*property);
-  if (property_it == property_index_.end()) {
+  const int property_index = universe_->schema().FindProperty(*property);
+  if (property_index < 0) {
     return ErrorReply("not_found", "unknown property '" + *property + "'");
   }
+  const size_t m = static_cast<size_t>(property_index);
   const std::shared_ptr<const ServeSnapshot> snapshot = publisher_.Current();
   if (snapshot == nullptr) return ErrorReply("not_ready", "no epoch published yet");
-  const Value& value = snapshot->truths.Get(object_it->second, property_it->second);
+  const Value& value = snapshot->truths.Get(object_index, m);
   JsonWriter writer;
   writer.AddBool("ok", true);
   writer.AddUint("epoch", snapshot->epoch);
@@ -472,7 +479,7 @@ std::string CrhServer::HandleTruth(const JsonObject& request) {
   } else if (value.category() == kInvalidCategory) {
     writer.AddNull("value");
   } else {
-    writer.AddString("value", universe_->dict(property_it->second).label(value.category()));
+    writer.AddString("value", universe_->dict(m).label(value.category()));
   }
   return std::move(writer).Finish();
 }
@@ -496,13 +503,12 @@ std::string CrhServer::HandleWeights() {
 std::string CrhServer::HandleSource(const JsonObject& request) {
   auto source = request.GetString("source");
   if (!source.ok()) return ErrorReply("bad_request", source.status().message());
-  const auto it = source_index_.find(*source);
-  if (it == source_index_.end()) {
+  const size_t k = codec_.FindSource(*source);
+  if (k == IdIndex::kNotFound) {
     return ErrorReply("not_found", "unknown source '" + *source + "'");
   }
   const std::shared_ptr<const ServeSnapshot> snapshot = publisher_.Current();
   if (snapshot == nullptr) return ErrorReply("not_ready", "no epoch published yet");
-  const size_t k = it->second;
   double total = 0;
   for (const double w : snapshot->source_weights) total += w;
   JsonWriter writer;
@@ -545,7 +551,7 @@ std::string CrhServer::HandleStatus() {
 }
 
 std::string CrhServer::HandleIngest(const JsonObject& request) {
-  if (codec_ == nullptr) return ErrorReply("not_ready", "server not started");
+  if (engine_ == nullptr) return ErrorReply("not_ready", "server not started");
   if (draining_.load(std::memory_order_acquire)) {
     return ErrorReply("draining", "server is draining; ingest is closed");
   }
@@ -558,8 +564,11 @@ std::string CrhServer::HandleIngest(const JsonObject& request) {
   if (!window_start.ok()) {
     return ErrorReply("bad_request", window_start.status().message());
   }
-  auto csv = request.GetString("csv");
-  if (!csv.ok()) return ErrorReply("bad_request", csv.status().message());
+  // Read in place: the payload is most of the request line.
+  const JsonValue* csv = request.Find("csv");
+  if (csv == nullptr || csv->kind != JsonValue::Kind::kString) {
+    return ErrorReply("bad_request", "request needs a string field 'csv'");
+  }
 
   // Quick sequence check before paying for the decode. next_enqueue_seq_
   // counts *admitted* chunks; a shed chunk does not consume its number.
@@ -581,7 +590,7 @@ std::string CrhServer::HandleIngest(const JsonObject& request) {
     }
   }
 
-  auto chunk = codec_->Decode(*csv, *window_start, options_.quarantine_bad_claims);
+  auto chunk = codec_.Decode(csv->string_value, *window_start, options_.quarantine_bad_claims);
   if (!chunk.ok()) return ErrorReply("bad_chunk", chunk.status().message());
 
   MutexLock lock(&mu_);

@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -63,7 +64,12 @@ struct ServeOptions {
   /// predecessor is removed at startup.
   std::string socket_path;
   /// Bounded ingest queue capacity; a full queue sheds (overload policy).
-  size_t ingest_queue_capacity = 8;
+  /// Decoding a chunk can be several times faster than solving and
+  /// publishing it on a large universe, so a client that sends a backlog
+  /// of chunks without waiting for publication fills the queue; 32 admits
+  /// a few dozen before shedding. Each queued chunk holds its decoded
+  /// claims in memory.
+  size_t ingest_queue_capacity = 32;
   /// Deterministic retry-after hint returned with `overloaded` replies.
   uint64_t shed_retry_after_ms = 50;
   /// Per-connection deadline: a request that has not completed (read or
@@ -116,7 +122,7 @@ class CrhServer {
   /// Handles one protocol request line and returns the reply line (no
   /// trailing newline). Public as the unit-test surface: everything the
   /// socket path does beyond this is framing and I/O.
-  std::string HandleRequestLine(const std::string& line);
+  std::string HandleRequestLine(std::string_view line);
 
   /// The publication point, exposed for the concurrent-reader race test.
   const SnapshotPublisher& publisher() const { return publisher_; }
@@ -151,10 +157,8 @@ class CrhServer {
   ServeOptions serve_;
 
   std::unique_ptr<StreamEngine> engine_;  ///< Ingest thread only after Start.
-  std::unique_ptr<ChunkCodec> codec_;
-  std::map<std::string, size_t> object_index_;
-  std::map<std::string, size_t> property_index_;
-  std::map<std::string, size_t> source_index_;
+  /// Decodes ingested chunks; its id index also serves truth/source lookups.
+  const ChunkCodec codec_;
 
   IngestQueue queue_;
   SnapshotPublisher publisher_;

@@ -45,7 +45,7 @@ std::string Usage() {
       "  --quarantine         quarantine malformed claims instead of failing\n"
       "  --delta-solve M      off (default) | full | on | verify\n"
       "  --threads N          solver threads (default 1; 0 = hardware)\n"
-      "  --queue-capacity N   ingest admission queue bound (default 8)\n"
+      "  --queue-capacity N   ingest admission queue bound (default 32)\n"
       "  --retry-after-ms N   retry hint returned on shed ingests (default 50)\n"
       "  --io-timeout-ms N    per-connection request deadline (default 5000)\n"
       "  --max-connections N  concurrent connection cap (default 8)\n"
@@ -65,7 +65,7 @@ struct ServeArgs {
   bool quarantine = false;
   std::string delta_solve = "off";
   int threads = 1;
-  int64_t queue_capacity = 8;
+  int64_t queue_capacity = 32;
   int64_t retry_after_ms = 50;
   int64_t io_timeout_ms = 5000;
   int64_t max_connections = 8;

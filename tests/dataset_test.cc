@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/id_index.h"
 #include "data/stats.h"
 
 namespace crh {
@@ -52,6 +53,34 @@ TEST(CategoryDictTest, InternAndLookup) {
   EXPECT_EQ(dict.Find("rain"), 1);
   EXPECT_EQ(dict.Find("snow"), kInvalidCategory);
   EXPECT_EQ(dict.label(0), "sunny");
+}
+
+TEST(IdIndexTest, FindsEveryNameThroughGrowthAndCopies) {
+  std::vector<std::string> ids;
+  IdIndex index;
+  EXPECT_EQ(index.Find("absent", ids), IdIndex::kNotFound);
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(index.FindOrAdd("id" + std::to_string(i), &ids), static_cast<size_t>(i));
+  }
+  EXPECT_EQ(index.FindOrAdd("id17", &ids), 17u);  // no duplicate appended
+  ASSERT_EQ(ids.size(), 5000u);
+  // Positions survive copying the list together with the index.
+  const std::vector<std::string> copied_ids = ids;
+  const IdIndex copied_index = index;
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(copied_index.Find("id" + std::to_string(i), copied_ids), static_cast<size_t>(i));
+  }
+  EXPECT_EQ(copied_index.Find("id5000", copied_ids), IdIndex::kNotFound);
+  EXPECT_EQ(copied_index.Find("", copied_ids), IdIndex::kNotFound);
+}
+
+TEST(IdIndexTest, BuiltIndexMapsRepeatedNamesToTheirLastPosition) {
+  const std::vector<std::string> ids = {"a", "b", "a", ""};
+  const IdIndex index(ids);
+  EXPECT_EQ(index.Find("a", ids), 2u);
+  EXPECT_EQ(index.Find("b", ids), 1u);
+  EXPECT_EQ(index.Find("", ids), 3u);
+  EXPECT_EQ(index.Find("c", ids), IdIndex::kNotFound);
 }
 
 TEST(ValueTableTest, StartsAllMissing) {

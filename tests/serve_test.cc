@@ -1,17 +1,23 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -400,6 +406,208 @@ TEST(ChunkCodecTest, RejectsChunksBiggerThanTheUniverse) {
 }
 
 // ---------------------------------------------------------------------------
+// ChunkCodec property: written cells decode bit for bit, whatever the framing
+// ---------------------------------------------------------------------------
+
+/// A timestamped universe whose object ids, source ids, property names and
+/// labels all need RFC 4180 quoting (commas, embedded quotes).
+Dataset MakeQuotingUniverse(uint64_t seed) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddContinuous("x, \"reading\"", 0.0).ok());
+  EXPECT_TRUE(schema.AddCategorical("y,label").ok());
+  std::vector<std::string> objects;
+  std::vector<int64_t> timestamps;
+  for (int d = 0; d < 5; ++d) {
+    for (int j = 0; j < 7; ++j) {
+      objects.push_back("d" + std::to_string(d) + ", \"o" + std::to_string(j) + "\"");
+      timestamps.push_back(d);
+    }
+  }
+  Dataset truth_data(schema, objects, {});
+  for (const char* l : {"a,1", "b \"2\"", "\"c\"", "d"}) truth_data.mutable_dict(1).GetOrAdd(l);
+  Rng rng(seed);
+  ValueTable truth(truth_data.num_objects(), 2);
+  for (size_t i = 0; i < truth_data.num_objects(); ++i) {
+    truth.Set(i, 0, Value::Continuous(rng.Uniform(-50, 50)));
+    truth.Set(i, 1, Value::Categorical(static_cast<CategoryId>(rng.UniformInt(0, 3))));
+  }
+  truth_data.set_ground_truth(std::move(truth));
+  EXPECT_TRUE(truth_data.set_timestamps(timestamps).ok());
+  NoiseOptions noise;
+  noise.gammas = {0.3, 0.9, 1.6};
+  noise.missing_rate = 0.2;
+  noise.seed = seed;
+  auto noisy = MakeNoisyDataset(truth_data, noise);
+  EXPECT_TRUE(noisy.ok());
+  // Rename the generated sources so their ids need quoting too.
+  std::vector<std::string> sources;
+  for (size_t k = 0; k < noisy->num_sources(); ++k) {
+    sources.push_back("src \"" + std::to_string(k) + "\", eu");
+  }
+  Dataset universe(schema, objects, sources);
+  for (size_t m = 0; m < schema.num_properties(); ++m) {
+    universe.mutable_dict(m) = noisy->dict(m);
+  }
+  for (size_t k = 0; k < sources.size(); ++k) {
+    universe.mutable_observations(k) = noisy->observations(k);
+  }
+  EXPECT_TRUE(universe.set_timestamps(timestamps).ok());
+  return universe;
+}
+
+/// The rows (header dropped) WriteObservationsCsv emits for `data`.
+std::vector<std::string> CsvRows(const Dataset& data) {
+  std::istringstream in(ChunkCsv(DataChunk{data, {}, 0}));
+  std::vector<std::string> rows;
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) rows.push_back(line);
+  return rows;
+}
+
+/// A different value for every present cell, same type and dictionary.
+Dataset Decoys(const Dataset& data) {
+  Dataset decoys = data;
+  for (size_t k = 0; k < data.num_sources(); ++k) {
+    for (size_t i = 0; i < data.num_objects(); ++i) {
+      for (size_t m = 0; m < data.num_properties(); ++m) {
+        const Value v = data.observations(k).Get(i, m);
+        if (v.is_missing()) continue;
+        const Value decoy =
+            v.is_continuous()
+                ? Value::Continuous(v.continuous() + 1.25)
+                : Value::Categorical(static_cast<CategoryId>(
+                      (static_cast<size_t>(v.category()) + 1) % data.dict(m).size()));
+        decoys.SetObservation(k, i, m, decoy);
+      }
+    }
+  }
+  return decoys;
+}
+
+/// The chunk's claims as CSV with its rows shuffled, some claims preceded
+/// by a decoy claim for the same cell (the later row must win), blank
+/// lines sprinkled in, and a mix of LF and CRLF line ends.
+std::string ScrambledChunkCsv(const DataChunk& chunk, std::mt19937_64* rng) {
+  const std::vector<std::string> rows = CsvRows(chunk.data);
+  const std::vector<std::string> decoys = CsvRows(Decoys(chunk.data));
+  EXPECT_EQ(rows.size(), decoys.size());  // same cells, same order
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::pair<double, const std::string*>> keyed;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const double key = unit(*rng);
+    keyed.emplace_back(key, &rows[r]);
+    if (unit(*rng) < 0.3) keyed.emplace_back(key * unit(*rng), &decoys[r]);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::string csv = "object_id,property,source_id,value\r\n";
+  for (const auto& [key, row] : keyed) {
+    (void)key;
+    if (unit(*rng) < 0.1) csv += unit(*rng) < 0.5 ? "\n" : "\r\n";
+    csv += *row;
+    csv += unit(*rng) < 0.5 ? "\n" : "\r\n";
+  }
+  return csv;
+}
+
+uint64_t CellBits(const Value& v) {
+  if (v.is_missing()) return 0;
+  if (v.is_categorical()) return static_cast<uint64_t>(static_cast<uint32_t>(v.category()));
+  uint64_t bits = 0;
+  const double d = v.continuous();
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// (object, property, source, kind, value bits or label) for every claim.
+using ClaimTuple = std::tuple<std::string, size_t, std::string, int, uint64_t, std::string>;
+
+std::vector<ClaimTuple> Claims(const Dataset& data) {
+  std::vector<ClaimTuple> claims;
+  for (size_t k = 0; k < data.num_sources(); ++k) {
+    for (size_t i = 0; i < data.num_objects(); ++i) {
+      for (size_t m = 0; m < data.num_properties(); ++m) {
+        const Value v = data.observations(k).Get(i, m);
+        if (v.is_missing()) continue;
+        claims.emplace_back(data.object_id(i), m, data.source_id(k),
+                            v.is_continuous() ? 0 : 1, v.is_continuous() ? CellBits(v) : 0,
+                            v.is_continuous() ? "" : data.dict(m).label(v.category()));
+      }
+    }
+  }
+  std::sort(claims.begin(), claims.end());
+  return claims;
+}
+
+TEST(ChunkCodecTest, DecodesWrittenCellsBitForBitUnderAnyFraming) {
+  for (const uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    const Dataset universe = MakeQuotingUniverse(seed);
+    auto chunks = SplitByWindow(universe, 1);
+    ASSERT_TRUE(chunks.ok());
+    const ChunkCodec codec(universe);
+    std::mt19937_64 rng(seed);
+    for (const DataChunk& expected : *chunks) {
+      const std::string csv = ScrambledChunkCsv(expected, &rng);
+      for (const bool quarantine : {false, true}) {
+        auto decoded = codec.Decode(csv, expected.window_start, quarantine);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        // Objects in ascending universe order, the full source roster.
+        ASSERT_EQ(decoded->parent_object, expected.parent_object);
+        ASSERT_EQ(decoded->data.source_ids(), universe.source_ids());
+        for (size_t k = 0; k < expected.data.num_sources(); ++k) {
+          for (size_t i = 0; i < expected.data.num_objects(); ++i) {
+            for (size_t m = 0; m < expected.data.num_properties(); ++m) {
+              const Value want = expected.data.observations(k).Get(i, m);
+              const Value got = decoded->data.observations(k).Get(i, m);
+              ASSERT_EQ(got.is_missing(), want.is_missing());
+              ASSERT_EQ(got.is_continuous(), want.is_continuous());
+              ASSERT_EQ(CellBits(got), CellBits(want))
+                  << "cell (" << k << ", " << i << ", " << m << ")";
+            }
+          }
+        }
+      }
+      // The batch reader sees the same claims in the same bytes.
+      std::istringstream in(csv);
+      auto read = ReadObservationsCsv(universe.schema(), in);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      auto decoded = codec.Decode(csv, expected.window_start, false);
+      ASSERT_TRUE(decoded.ok());
+      EXPECT_EQ(Claims(*read), Claims(decoded->data));
+    }
+  }
+}
+
+TEST(ChunkCodecTest, ReportsTheFirstBadLineUnlessTheChunkIsTooBig) {
+  const Dataset data = MakeServeDataset();
+  const ChunkCodec codec(data);
+  const std::string header = "object_id,property,source_id,value\n";
+  const std::string good = "d0_o0,x," + data.source_id(0) + ",1\n";
+  // An unknown object on line 3 is reported ahead of a bad number on line 4.
+  auto unknown = codec.Decode(header + good + "ghost,x," + data.source_id(0) + ",1\n" +
+                                  "d0_o1,x," + data.source_id(0) + ",oops\n",
+                              0, false);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("line 3"), std::string::npos)
+      << unknown.status().ToString();
+  // More distinct sources than the universe holds is kOutOfRange, although
+  // the first unknown source comes first.
+  std::string too_many = header;
+  for (size_t k = 0; k <= data.num_sources(); ++k) {
+    too_many += "d0_o0,x,ghost" + std::to_string(k) + ",1\n";
+  }
+  auto over = codec.Decode(too_many, 0, false);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
+  // A quoted unknown label on a CRLF line fails without quarantine only.
+  const std::string label = header + "d0_o0,y," + data.source_id(0) + ",\"z,\"\"z\"\r\n";
+  EXPECT_EQ(codec.Decode(label, 0, false).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(codec.Decode(label, 0, true).ok());
+}
+
+// ---------------------------------------------------------------------------
 // CrhServer request handling (no sockets: HandleRequestLine is the protocol
 // surface; the socket path adds only framing)
 // ---------------------------------------------------------------------------
@@ -594,6 +802,115 @@ TEST_F(ServeHandlerTest, SourceConfidenceIsNormalizedWeight) {
   for (double w : snapshot->source_weights) total += w;
   EXPECT_EQ(*source.GetDouble("weight"), snapshot->source_weights[0]);
   EXPECT_EQ(*source.GetDouble("confidence"), snapshot->source_weights[0] / total);
+  DrainAndWait(server.get());
+}
+
+// ---------------------------------------------------------------------------
+// The socket path: framing of requests over a real connection
+// ---------------------------------------------------------------------------
+
+/// A blocking client connection with a receive timeout, so a server that
+/// never answers fails the test instead of hanging it.
+class TestClient {
+ public:
+  explicit TestClient(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(fd_, 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size());
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)), 0);
+    struct timeval timeout;
+    timeout.tv_sec = 10;
+    timeout.tv_usec = 0;
+    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~TestClient() { ::close(fd_); }
+
+  void Send(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      bytes.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+
+  /// The next reply line, parsed.
+  JsonObject ReadReply() {
+    size_t newline;
+    while ((newline = pending_.find('\n')) == std::string::npos) {
+      char buffer[4096];
+      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+      if (n <= 0) {
+        ADD_FAILURE() << "connection closed before a full reply";
+        return JsonObject{};
+      }
+      pending_.append(buffer, static_cast<size_t>(n));
+    }
+    auto parsed = ParseJsonObject(std::string_view(pending_).substr(0, newline), 8u << 20);
+    pending_.erase(0, newline + 1);
+    EXPECT_TRUE(parsed.ok());
+    return parsed.ok() ? *parsed : JsonObject{};
+  }
+
+ private:
+  int fd_ = -1;
+  std::string pending_;
+};
+
+TEST_F(ServeHandlerTest, IngestLineSplitOverManySmallWrites) {
+  const Dataset data = MakeServeDataset(6, 40, 5);
+  auto chunks = SplitByWindow(data, 3);
+  ASSERT_TRUE(chunks.ok());
+  ServeOptions serve;
+  serve.socket_path = UniqueSocketPath("split");
+  auto server = StartServer(data, serve);
+  TestClient client(serve.socket_path);
+  for (size_t c = 0; c < 2; ++c) {
+    const std::string line = IngestLine(c, (*chunks)[c]) + "\r\n";
+    ASSERT_GT(line.size(), 2u * 4096);  // spans several receives
+    // Uneven pieces, with pauses, so the line arrives over many receives
+    // and the terminating CR and LF land in different writes.
+    const std::string_view body = std::string_view(line).substr(0, line.size() - 1);
+    size_t offset = 0;
+    for (size_t piece = 1; offset < body.size(); ++piece) {
+      const size_t size = std::min(body.size() - offset, 97 + (piece * 389) % 1500);
+      client.Send(body.substr(offset, size));
+      offset += size;
+      if (piece % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    client.Send("\n");
+    const JsonObject reply = client.ReadReply();
+    ASSERT_NE(reply.Find("ok"), nullptr);
+    EXPECT_TRUE(reply.Find("ok")->bool_value);
+    EXPECT_EQ(*reply.GetUint("seq"), c);
+  }
+  AwaitChunksSolved(server.get(), 2);
+  DrainAndWait(server.get());
+}
+
+TEST_F(ServeHandlerTest, TwoRequestsInOneWrite) {
+  const Dataset data = MakeServeDataset();
+  auto chunks = SplitByWindow(data, 1);
+  ASSERT_TRUE(chunks.ok());
+  ServeOptions serve;
+  serve.socket_path = UniqueSocketPath("pipelined");
+  auto server = StartServer(data, serve);
+  TestClient client(serve.socket_path);
+  // Two requests, then an ingest with the start of a ping behind it: every
+  // complete line is answered in order, the partial one once it completes.
+  client.Send(R"({"cmd":"ping"})" "\n" R"({"cmd":"status"})" "\r\n");
+  EXPECT_TRUE(client.ReadReply().Find("ok")->bool_value);
+  const JsonObject status = client.ReadReply();
+  ASSERT_NE(status.Find("epoch"), nullptr);
+  EXPECT_EQ(*status.GetUint("epoch"), 0u);
+  client.Send(IngestLine(0, (*chunks)[0]) + "\n" + R"({"cmd":)");
+  EXPECT_EQ(*client.ReadReply().GetUint("seq"), 0u);
+  client.Send(R"("ping"})" "\n");
+  const JsonObject ping = client.ReadReply();
+  EXPECT_TRUE(ping.Find("ok")->bool_value);
+  EXPECT_EQ(ping.Find("epoch"), nullptr);  // the ping reply, not a status
   DrainAndWait(server.get());
 }
 
