@@ -400,11 +400,6 @@ int Main(int argc, char** argv) {
   std::fprintf(out, "  \"weight_update\": {\"ns_per_source\": %.1f, \"allocations\": %llu},\n",
                weight_update.best_seconds * 1e9 / static_cast<double>(data.num_sources()),
                static_cast<unsigned long long>(weight_update.allocations));
-#if defined(CRH_SIMD)
-  std::fprintf(out, "  \"simd\": true,\n");
-#else
-  std::fprintf(out, "  \"simd\": false,\n");
-#endif
   std::fprintf(out, "  \"solver\": [\n");
   for (size_t row_idx = 0; row_idx < solver_rows.size(); ++row_idx) {
     const SolverRow& row = solver_rows[row_idx];

@@ -1,9 +1,10 @@
 /// \file bench_throughput.cc
 /// Sustained-throughput driver for the streaming (I-CRH) pipeline.
 ///
-/// Runs the chunk loop — ProcessChunk plus fused-truth maintenance — for a
-/// fixed wall-clock budget per DeltaSolveMode, restarting the stream from
-/// scratch whenever it is exhausted, and reports:
+/// Runs the chunk loop — StreamEngine::ApplyChunk: ProcessChunk plus
+/// fused-truth maintenance — for a fixed wall-clock budget per
+/// DeltaSolveMode, restarting the stream from scratch whenever it is
+/// exhausted, and reports:
 ///
 ///  * claims/sec and ns/claim sustained over the whole budget;
 ///  * per-chunk-step latency percentiles (p50/p90/p99/max), the metric a
@@ -12,10 +13,8 @@
 ///    regression gate (scripts/bench_gate.py) can normalize ns/claim
 ///    across machines of different speeds.
 ///
-/// The timed modes are off (legacy per-chunk scatter), full (full re-solve
-/// per chunk) and delta (dirty-set re-solve); a final untimed stream runs
-/// in verify mode, which bit-compares the delta table against a shadow
-/// full re-solve after every chunk. Results go to machine-readable JSON
+/// The timed modes are off (legacy per-chunk scatter) and full (cumulative
+/// full re-solve per chunk). Results go to machine-readable JSON
 /// (BENCH_crh_throughput.json, committed as the regression baseline).
 ///
 ///   bench_throughput [output.json]
@@ -30,32 +29,25 @@
 ///                         cover most entries and a long tail covers few
 ///     CRH_SEED=42         noise seed
 ///     CRH_THREADS=1       worker threads for the passes
-///     CRH_TP_WEIGHTS=log_max  weight scheme: log_max (paper default, every
-///                         refresh perturbs every weight, so delta's
-///                         fan-out covers everything and it falls back to
-///                         the full pass) or top_j (selection weights,
-///                         bitwise-stable once the ranking settles — the
-///                         regime where the dirty-set delta actually
-///                         shrinks the work)
+///     CRH_TP_WEIGHTS=log_max  weight scheme: log_max (paper default) or
+///                         top_j (selection weights)
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "datagen/noise.h"
 #include "datagen/uci_like.h"
 #include "stream/chunks.h"
-#include "stream/delta_solve.h"
 #include "stream/incremental_crh.h"
+#include "stream/stream_engine.h"
 
 namespace crh::bench {
 namespace {
@@ -117,56 +109,34 @@ struct ModeResult {
   uint64_t claims = 0;
   double elapsed_seconds = 0.0;
   LatencyStats latency;
-  DeltaSolveStats delta;
 };
 
-/// Drives the chunk loop of stream/checkpoint.cc by hand — the library's
-/// drivers are deterministic by design (no timing inside src/stream), so
-/// the per-chunk stopwatch lives here. One iteration = one chunk step:
-/// ProcessChunk plus the fused-table maintenance of the given mode.
+/// Drives StreamEngine chunk by chunk — the library's drivers are
+/// deterministic by design (no timing inside src/stream), so the per-chunk
+/// stopwatch lives here. One iteration = one ApplyChunk: ProcessChunk plus
+/// the fused-table maintenance of the given mode.
 ModeResult RunMode(const std::string& name, DeltaSolveMode mode, const Dataset& parent,
                    const std::vector<DataChunk>& chunks,
-                   const std::vector<uint64_t>& chunk_claims,
-                   const IncrementalCrhOptions& options, ThreadPool* pool,
+                   const std::vector<uint64_t>& chunk_claims, IncrementalCrhOptions options,
                    double seconds_budget, uint64_t max_chunks) {
   ModeResult result;
   result.name = name;
+  options.delta_solve = mode;
   std::vector<double> latencies;
-  std::vector<double> prev_weights;
   Stopwatch total;
   bool out_of_budget = false;
   while (!out_of_budget) {
-    IncrementalCrhProcessor processor(parent.num_sources(), options);
-    std::optional<DeltaTruthStore> store;
-    if (mode != DeltaSolveMode::kOff) {
-      store.emplace(parent.num_objects(), parent.num_properties(), parent.num_sources());
-    }
-    ValueTable fused(parent.num_objects(), parent.num_properties());
+    auto engine = StreamEngine::Open(parent, options, StreamResilienceOptions{});
+    CRH_CHECK(engine.ok());
     for (size_t c = 0; c < chunks.size(); ++c) {
-      const DataChunk& chunk = chunks[c];
       Stopwatch step;
-      if (mode != DeltaSolveMode::kOff) prev_weights = processor.source_weights();
-      auto truths = processor.ProcessChunk(chunk.data);
-      CRH_CHECK(truths.ok());
-      if (mode == DeltaSolveMode::kOff) {
-        for (size_t local = 0; local < chunk.parent_object.size(); ++local) {
-          for (size_t m = 0; m < parent.num_properties(); ++m) {
-            fused.Set(chunk.parent_object[local], m, truths->Get(local, m));
-          }
-        }
-      } else {
-        store->AppendChunk(chunk.data, chunk.parent_object, false);
-        const Status resolved =
-            store->Resolve(parent, prev_weights, processor.source_weights(), options.base,
-                           pool, mode, &fused);
-        CRH_CHECK(resolved.ok());
-      }
+      const Status applied = (*engine)->ApplyChunk(chunks[c], /*force_checkpoint=*/false);
       latencies.push_back(step.ElapsedSeconds());
+      CRH_CHECK(applied.ok());
       result.claims += chunk_claims[c];
       ++result.chunks;
       // The first stream always completes, whatever the budget, so every
-      // mode (and the verify pass, which runs with a zero budget) covers
-      // each chunk of the workload at least once.
+      // mode covers each chunk of the workload at least once.
       const bool budget_spent =
           total.ElapsedSeconds() >= seconds_budget || result.chunks >= max_chunks;
       if (budget_spent && result.streams > 0) {
@@ -176,14 +146,6 @@ ModeResult RunMode(const std::string& name, DeltaSolveMode mode, const Dataset& 
     }
     ++result.streams;
     if (total.ElapsedSeconds() >= seconds_budget) out_of_budget = true;
-    if (store.has_value()) {
-      const DeltaSolveStats& s = store->stats();
-      result.delta.chunks += s.chunks;
-      result.delta.entries_resolved += s.entries_resolved;
-      result.delta.entries_full += s.entries_full;
-      result.delta.sources_changed += s.sources_changed;
-      result.delta.full_fallbacks += s.full_fallbacks;
-    }
   }
   result.elapsed_seconds = total.ElapsedSeconds();
   result.latency = Percentiles(std::move(latencies));
@@ -265,11 +227,6 @@ int Main(int argc, char** argv) {
   } else {
     CRH_CHECK(scheme == "log_max");
   }
-  std::unique_ptr<ThreadPool> pool;
-  if (ThreadPool::ResolveNumThreads(threads) > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
-
   auto chunks = SplitByWindow(data, options.window_size);
   CRH_CHECK(chunks.ok());
   std::vector<uint64_t> chunk_claims(chunks->size(), 0);
@@ -300,12 +257,11 @@ int Main(int argc, char** argv) {
   } timed_modes[] = {
       {"off", DeltaSolveMode::kOff},
       {"full", DeltaSolveMode::kFull},
-      {"delta", DeltaSolveMode::kDelta},
   };
   std::vector<ModeResult> results;
   for (const auto& timed : timed_modes) {
     results.push_back(RunMode(timed.name, timed.mode, data, *chunks, chunk_claims, options,
-                              pool.get(), seconds_budget, max_chunks));
+                              seconds_budget, max_chunks));
     const ModeResult& r = results.back();
     const double ns_per_claim =
         r.elapsed_seconds * 1e9 / static_cast<double>(r.claims > 0 ? r.claims : 1);
@@ -315,24 +271,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.streams),
                 static_cast<double>(r.claims) / r.elapsed_seconds, ns_per_claim,
                 r.latency.p50_ms, r.latency.p90_ms, r.latency.p99_ms, r.latency.max_ms);
-    if (r.delta.entries_full > 0) {
-      std::printf("            delta work: %llu of %llu entry updates (%llu full-pass "
-                  "fallbacks)\n",
-                  static_cast<unsigned long long>(r.delta.entries_resolved),
-                  static_cast<unsigned long long>(r.delta.entries_full),
-                  static_cast<unsigned long long>(r.delta.full_fallbacks));
-    }
   }
-
-  // --- Verify smoke: one untimed stream with the per-chunk bit-compare on.
-  ModeResult verify = RunMode("verify", DeltaSolveMode::kVerify, data, *chunks, chunk_claims,
-                              options, pool.get(), 0.0, max_chunks);
-  CRH_CHECK_GE(verify.chunks, 1u);
-  std::printf("verify: %llu chunk(s) bit-identical to the full re-solve "
-              "(%llu of %llu entry updates run by delta)\n",
-              static_cast<unsigned long long>(verify.delta.chunks),
-              static_cast<unsigned long long>(verify.delta.entries_resolved),
-              static_cast<unsigned long long>(verify.delta.entries_full));
 
   // --- JSON report.
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -349,11 +288,6 @@ int Main(int argc, char** argv) {
                static_cast<unsigned long long>(seed), threads, scheme.c_str());
   std::fprintf(out, "  \"target_seconds_per_mode\": %.3f,\n", seconds_budget);
   std::fprintf(out, "  \"calibration_ns_per_op\": %.4f,\n", calibration_ns);
-#if defined(CRH_SIMD)
-  std::fprintf(out, "  \"simd\": true,\n");
-#else
-  std::fprintf(out, "  \"simd\": false,\n");
-#endif
   std::fprintf(out, "  \"modes\": [\n");
   for (size_t idx = 0; idx < results.size(); ++idx) {
     const ModeResult& r = results[idx];
@@ -363,25 +297,15 @@ int Main(int argc, char** argv) {
                  "    {\"mode\": \"%s\", \"streams\": %llu, \"chunks\": %llu, "
                  "\"claims\": %llu, \"elapsed_seconds\": %.4f, \"claims_per_sec\": %.0f, "
                  "\"ns_per_claim\": %.1f, \"latency_ms\": {\"p50\": %.4f, \"p90\": %.4f, "
-                 "\"p99\": %.4f, \"max\": %.4f}, \"entries_resolved\": %llu, "
-                 "\"entries_full\": %llu, \"full_fallbacks\": %llu}%s\n",
+                 "\"p99\": %.4f, \"max\": %.4f}}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.streams),
                  static_cast<unsigned long long>(r.chunks),
                  static_cast<unsigned long long>(r.claims), r.elapsed_seconds,
                  static_cast<double>(r.claims) / r.elapsed_seconds, ns_per_claim,
                  r.latency.p50_ms, r.latency.p90_ms, r.latency.p99_ms, r.latency.max_ms,
-                 static_cast<unsigned long long>(r.delta.entries_resolved),
-                 static_cast<unsigned long long>(r.delta.entries_full),
-                 static_cast<unsigned long long>(r.delta.full_fallbacks),
                  idx + 1 < results.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"verify\": {\"chunks\": %llu, \"entries_resolved\": %llu, "
-               "\"entries_full\": %llu, \"ok\": true}\n",
-               static_cast<unsigned long long>(verify.delta.chunks),
-               static_cast<unsigned long long>(verify.delta.entries_resolved),
-               static_cast<unsigned long long>(verify.delta.entries_full));
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
   if (std::fclose(out) != 0) {
     std::fprintf(stderr, "error: failed to close %s\n", out_path.c_str());

@@ -9,10 +9,8 @@ Two jobs:
 
  1. Schema validation: the candidate must be a well-formed report from
     bench/bench_throughput.cc — workload dimensions, calibration constant,
-    one result object per mode (off/full/delta) with throughput and
-    latency-percentile fields, and a verify block with ok == true (the
-    untimed stream whose every chunk was bit-compared against the full
-    re-solve).
+    and one result object per mode (off/full) with throughput and
+    latency-percentile fields.
 
  2. Regression gate: the candidate's per-claim-iteration cost may not
     regress more than --tolerance (default 10%) against the committed
@@ -31,7 +29,7 @@ import argparse
 import json
 import sys
 
-TIMED_MODES = ("off", "full", "delta")
+TIMED_MODES = ("off", "full")
 
 MODE_FIELDS = {
     "mode": str,
@@ -42,9 +40,6 @@ MODE_FIELDS = {
     "claims_per_sec": (int, float),
     "ns_per_claim": (int, float),
     "latency_ms": dict,
-    "entries_resolved": int,
-    "entries_full": int,
-    "full_fallbacks": int,
 }
 
 LATENCY_FIELDS = ("p50", "p90", "p99", "max")
@@ -85,8 +80,8 @@ def validate(report: dict, path: str) -> dict:
     if report.get("schema_version") != 1:
         fail(f"{path}: schema_version is {report.get('schema_version')!r}, expected 1")
     check_fields(report, {"workload": dict, "calibration_ns_per_op": (int, float),
-                          "target_seconds_per_mode": (int, float), "simd": bool,
-                          "modes": list, "verify": dict}, path)
+                          "target_seconds_per_mode": (int, float),
+                          "modes": list}, path)
     check_fields(report["workload"], WORKLOAD_FIELDS, f"{path}: workload")
     if report["calibration_ns_per_op"] <= 0:
         fail(f"{path}: calibration_ns_per_op must be positive")
@@ -107,20 +102,6 @@ def validate(report: dict, path: str) -> dict:
     for mode in TIMED_MODES:
         if mode not in by_mode:
             fail(f"{path}: missing timed mode '{mode}'")
-
-    verify = report["verify"]
-    check_fields(verify, {"chunks": int, "entries_resolved": int,
-                          "entries_full": int, "ok": bool}, f"{path}: verify")
-    if not verify["ok"]:
-        fail(f"{path}: verify.ok is false")
-    if verify["chunks"] < 1:
-        fail(f"{path}: verify ran no chunks")
-
-    # Delta may not do more entry-update work than a full re-solve would.
-    delta = by_mode["delta"]
-    if delta["entries_resolved"] > delta["entries_full"]:
-        fail(f"{path}: delta resolved more entries ({delta['entries_resolved']}) "
-             f"than full re-solving would ({delta['entries_full']})")
     return by_mode
 
 

@@ -298,22 +298,6 @@ CRH_HOT void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
   }
 }
 
-/// Eq 3 over one shard of an explicit entry-id list (the delta re-solver's
-/// dirty set): positions [range.begin, range.end) of \p entries.
-CRH_HOT void UpdateTruthsListShard(const Dataset& data, const ClaimIndex& index,
-                                   const std::vector<PropertyType>& types,
-                                   const std::vector<char>& soft_active,
-                                   const std::vector<const std::vector<double>*>& weights_for,
-                                   const CrhOptions& options, const size_t* entries,
-                                   EntryRange range, size_t m_props, EntryScratch& scratch,
-                                   ValueTable* truths) {
-  for (size_t p = range.begin; p < range.end; ++p) {
-    const size_t e = entries[p];
-    ResolveEntryTruth(data, types, soft_active, weights_for, options, e / m_props, e % m_props,
-                      index.entry(e), scratch, truths, nullptr, nullptr);
-  }
-}
-
 /// Streams the per-claim losses of one entry into \p sink(c, source, loss)
 /// — the shared body of the loss-matrix, grouped-objective and objective
 /// kernels. The per-entry invariants (property type, truth value, entry
@@ -657,39 +641,6 @@ ValueTable ComputeTruthsGivenWeights(const Dataset& data, const std::vector<doub
   const ClaimIndex index = ClaimIndex::Build(data);
   const std::unique_ptr<ThreadPool> pool = MakePoolForOptions(options);
   return ComputeTruthsGivenWeights(data, index, weights, options, pool.get());
-}
-
-void UpdateTruthsForEntries(const Dataset& data, const ClaimIndex& index,
-                            const std::vector<size_t>& entries,
-                            const std::vector<double>& weights, const CrhOptions& options,
-                            ThreadPool* pool, SolverWorkspace& workspace, ValueTable* truths) {
-  CRH_CHECK(truths != nullptr);
-  CRH_CHECK_EQ(truths->num_objects(), data.num_objects());
-  CRH_CHECK_EQ(truths->num_properties(), data.num_properties());
-  if (entries.empty()) return;
-  SolverScratch& scratch = workspace.impl().scratch;
-  EnsureSolverScratch(data, index, &scratch);
-
-  CrhOptions hard = options;
-  hard.categorical_model = CategoricalModel::kVoting;
-  const size_t m_props = data.num_properties();
-  std::vector<PropertyType> types(m_props);
-  for (size_t m = 0; m < m_props; ++m) types[m] = data.schema().property(m).type;
-  const std::vector<char> soft_active(m_props, 0);
-  const std::vector<const std::vector<double>*> weights_for(m_props, &weights);
-
-  // Shard over list positions; entries are independent, so the list grid
-  // (a function of the list length only) is as deterministic as the full
-  // grid. NumEntryShards is monotone, so the per-shard scratch sized for
-  // the full entry grid always covers the list grid.
-  const size_t num_positions = entries.size();
-  const size_t num_shards = NumEntryShards(num_positions);
-  CRH_DCHECK_LE(num_shards, scratch.num_shards);
-  RunShards(num_shards, pool, [&](size_t shard) {
-    UpdateTruthsListShard(data, index, types, soft_active, weights_for, hard, entries.data(),
-                          ShardRange(num_positions, num_shards, shard), m_props,
-                          scratch.per_shard[shard], truths);
-  });
 }
 
 std::vector<double> ComputeSourceDeviations(const Dataset& data, const ClaimIndex& index,

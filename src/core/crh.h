@@ -172,9 +172,10 @@ struct CrhResult {
 
 /// Reusable solver scratch: one bump-arena allocation backing every
 /// per-iteration buffer of the pass entry points below. Callers that run
-/// many passes — the incremental solver, the delta re-solver, the
-/// benchmark harness — hold one workspace per concurrent caller and pass
-/// it to every call; after the first sizing, passes run allocation-free.
+/// many passes — the incremental solver, the streaming engine's
+/// cumulative re-solve (--delta-solve full), the benchmark harness — hold
+/// one workspace per concurrent caller and pass it to every call; after
+/// the first sizing, passes run allocation-free.
 /// Sized (and resized) automatically by the passes; reusable across
 /// datasets. Not thread-safe: one workspace serves one call at a time
 /// (the pass itself may fan work out over a pool internally).
@@ -223,19 +224,6 @@ ValueTable ComputeTruthsGivenWeights(const Dataset& data, const ClaimIndex& inde
                                      const std::vector<double>& weights,
                                      const CrhOptions& options, ThreadPool* pool,
                                      SolverWorkspace& workspace);
-
-/// One truth update restricted to a sorted, duplicate-free list of entry
-/// ids (e = i * M + m): the delta re-solver's kernel. Only the listed
-/// entries of \p truths are written; each receives exactly the value a
-/// full ComputeTruthsGivenWeights pass over the same index and weights
-/// would produce (truth updates are per-entry independent, so the subset
-/// pass is bit-identical on its subset at any thread count). Categorical
-/// truths use the hard (voting) model, as in ComputeTruthsGivenWeights.
-/// \p truths must match the index's entry grid.
-void UpdateTruthsForEntries(const Dataset& data, const ClaimIndex& index,
-                            const std::vector<size_t>& entries,
-                            const std::vector<double>& weights, const CrhOptions& options,
-                            ThreadPool* pool, SolverWorkspace& workspace, ValueTable* truths);
 
 /// One weight-aggregation pass: each source's total deviation between its
 /// observations and \p truths, with the per-observation-count and

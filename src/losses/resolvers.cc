@@ -21,39 +21,9 @@ bool ValueLess(const Value& a, const Value& b) {
 
 /// The shared Eq-14 accumulator: (sum w*v, sum w) with ONE association
 /// order used by both the vector and span means, so dense and sparse
-/// results stay bit-identical within a build. Default is the sequential
-/// left-to-right sum; CRH_SIMD switches BOTH callers to a fixed 4-lane
-/// ordered reduction tree — claim k feeds lane k%4, lanes combine as
-/// (l0+l1)+(l2+l3) — which is deterministic for a given claim order and
-/// lets the compiler keep 4 independent FMA chains in flight.
+/// results stay bit-identical: the sequential left-to-right sum.
 CRH_HOT inline void WeightedSumPair(const double* values, const double* weights, size_t n,
                                     double* total, double* total_weight) {
-#if defined(CRH_SIMD)
-  double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
-  double w0 = 0.0, w1 = 0.0, w2 = 0.0, w3 = 0.0;
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    t0 += weights[k] * values[k];
-    t1 += weights[k + 1] * values[k + 1];
-    t2 += weights[k + 2] * values[k + 2];
-    t3 += weights[k + 3] * values[k + 3];
-    w0 += weights[k];
-    w1 += weights[k + 1];
-    w2 += weights[k + 2];
-    w3 += weights[k + 3];
-  }
-  // Deterministic tail: claim k still lands in lane k % 4.
-  for (; k < n; ++k) {
-    switch (k % 4) {
-      case 0: t0 += weights[k] * values[k]; w0 += weights[k]; break;
-      case 1: t1 += weights[k] * values[k]; w1 += weights[k]; break;
-      case 2: t2 += weights[k] * values[k]; w2 += weights[k]; break;
-      default: t3 += weights[k] * values[k]; w3 += weights[k]; break;
-    }
-  }
-  *total = (t0 + t1) + (t2 + t3);
-  *total_weight = (w0 + w1) + (w2 + w3);
-#else
   double t = 0.0, w = 0.0;
   for (size_t k = 0; k < n; ++k) {
     t += weights[k] * values[k];
@@ -61,7 +31,6 @@ CRH_HOT inline void WeightedSumPair(const double* values, const double* weights,
   }
   *total = t;
   *total_weight = w;
-#endif
 }
 
 /// The shared Eq-16 ordering: sorts \p order (a 0..n-1 permutation) by

@@ -535,7 +535,6 @@ std::string CrhServer::HandleStatus() {
   writer.AddBool("resumed_from_fallback", snapshot->resumed_from_fallback);
   writer.AddUint("checkpoints_written", snapshot->checkpoints_written);
   writer.AddUint("last_checkpoint_chunks", snapshot->last_checkpoint_chunks);
-  writer.AddUint("delta_entries_resolved", snapshot->delta_stats.entries_resolved);
   writer.AddUint("queue_depth", static_cast<uint64_t>(queue_.depth()));
   writer.AddUint("queue_capacity", static_cast<uint64_t>(queue_.capacity()));
   writer.AddUint("shed", queue_.shed_count());

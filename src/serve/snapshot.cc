@@ -20,7 +20,6 @@ ServeSnapshot SnapshotFromEngine(const StreamEngine& engine, uint64_t epoch) {
   snapshot.source_weights = engine.source_weights();
   snapshot.accumulated_deviations = engine.accumulated_deviations();
   snapshot.quarantined_per_source = engine.quarantined_per_source();
-  snapshot.delta_stats = engine.delta_stats();
   return snapshot;
 }
 

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "data/table.h"
-#include "stream/incremental_crh.h"
 
 namespace crh {
 
@@ -49,7 +48,6 @@ struct ServeSnapshot {
   std::vector<double> source_weights;
   std::vector<double> accumulated_deviations;
   std::vector<uint64_t> quarantined_per_source;
-  DeltaSolveStats delta_stats;
 };
 
 /// Copies the engine's current state into a snapshot stamped `epoch`.

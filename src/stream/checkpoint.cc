@@ -302,11 +302,12 @@ uint64_t CheckpointFingerprint(const IncrementalCrhOptions& options, size_t num_
     }
     for (size_t k = 0; k < data->num_sources(); ++k) fp.AddString(data->source_id(k));
   }
-  // Appended only for delta-maintained runs, so fingerprints of legacy
-  // (kOff) runs are unchanged by the field's introduction. kFull, kDelta
-  // and kVerify share one tag: their truth tables are bit-identical, so
-  // their checkpoints interchange freely — but never with the per-chunk
-  // patchwork semantics of kOff.
+  // Appended only for cumulatively re-solved (kFull) runs, so fingerprints
+  // of legacy (kOff) runs are unchanged by the field's introduction. The
+  // tag is the one the retired dirty-set delta modes wrote too (their
+  // tables were bit-identical to kFull's), so their checkpoints resume
+  // under kFull — but never under the per-chunk patchwork semantics of
+  // kOff.
   if (options.delta_solve != DeltaSolveMode::kOff) fp.AddU64(0x64656c7461u);  // "delta"
   return fp.Finish();
 }

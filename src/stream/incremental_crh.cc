@@ -14,6 +14,11 @@
 
 namespace crh {
 
+namespace {
+
+/// True for a claim the quarantine would exclude: a non-finite continuous
+/// reading, a label outside the property's dictionary, or a cell whose
+/// kind contradicts the schema. Missing cells are never quarantinable.
 bool IsQuarantinableClaim(const Dataset& data, size_t m, const Value& v) {
   if (v.is_missing()) return false;
   if (data.schema().is_continuous(m)) {
@@ -21,6 +26,35 @@ bool IsQuarantinableClaim(const Dataset& data, size_t m, const Value& v) {
   }
   return !v.is_categorical() || v.category() < 0 ||
          static_cast<size_t>(v.category()) >= data.dict(m).size();
+}
+
+}  // namespace
+
+const Dataset& QuarantineClaims(const Dataset& chunk, Dataset* scratch,
+                                std::vector<uint64_t>* quarantined_per_source) {
+  // The clean copy is only materialized when something is actually bad,
+  // so well-formed streams pay one read-only scan.
+  bool any_bad = false;
+  for (size_t k = 0; k < chunk.num_sources() && !any_bad; ++k) {
+    for (size_t i = 0; i < chunk.num_objects() && !any_bad; ++i) {
+      for (size_t m = 0; m < chunk.num_properties() && !any_bad; ++m) {
+        any_bad = IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m));
+      }
+    }
+  }
+  if (!any_bad) return chunk;
+  *scratch = chunk;
+  for (size_t k = 0; k < chunk.num_sources(); ++k) {
+    for (size_t i = 0; i < chunk.num_objects(); ++i) {
+      for (size_t m = 0; m < chunk.num_properties(); ++m) {
+        if (IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m))) {
+          scratch->mutable_observations(k).Clear(i, m);
+          if (quarantined_per_source != nullptr) ++(*quarantined_per_source)[k];
+        }
+      }
+    }
+  }
+  return *scratch;
 }
 
 IncrementalCrhProcessor::IncrementalCrhProcessor(size_t num_sources,
@@ -84,33 +118,11 @@ Result<ValueTable> IncrementalCrhProcessor::ProcessChunk(const Dataset& chunk) {
                                 chunk.num_properties()),
                        "supervision table shape does not match the chunk");
   // Quarantine pass: exclude malformed claims rather than aborting the
-  // stream. The clean copy is only materialized when something is actually
-  // bad, so well-formed streams pay one read-only scan.
+  // stream.
   const Dataset* active = &chunk;
   Dataset sanitized;
   if (options_.quarantine_bad_claims) {
-    bool any_bad = false;
-    for (size_t k = 0; k < chunk.num_sources() && !any_bad; ++k) {
-      for (size_t i = 0; i < chunk.num_objects() && !any_bad; ++i) {
-        for (size_t m = 0; m < chunk.num_properties() && !any_bad; ++m) {
-          any_bad = IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m));
-        }
-      }
-    }
-    if (any_bad) {
-      sanitized = chunk;
-      for (size_t k = 0; k < chunk.num_sources(); ++k) {
-        for (size_t i = 0; i < chunk.num_objects(); ++i) {
-          for (size_t m = 0; m < chunk.num_properties(); ++m) {
-            if (IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m))) {
-              sanitized.mutable_observations(k).Clear(i, m);
-              ++quarantined_[k];
-            }
-          }
-        }
-      }
-      active = &sanitized;
-    }
+    active = &QuarantineClaims(chunk, &sanitized, &quarantined_);
   } else {
     // Without quarantine a malformed claim must fail the chunk loudly here:
     // a NaN that reaches the truth kernels poisons the weighted medians and

@@ -27,8 +27,8 @@
 
 namespace crh {
 
-/// How the resilient streaming driver (stream/checkpoint.h) maintains the
-/// fused truth table as chunks arrive.
+/// How the streaming engine (stream/stream_engine.h) maintains the fused
+/// truth table as chunks arrive.
 enum class DeltaSolveMode {
   /// Legacy patchwork semantics (the default): each chunk's truths —
   /// computed from the weights in force *before* that chunk's weight
@@ -38,37 +38,6 @@ enum class DeltaSolveMode {
   /// current weights)` with a full truth pass over the cumulative claim
   /// index after every chunk's weight refresh.
   kFull,
-  /// Same invariant, but re-solve only the entries whose inputs changed:
-  /// the chunk's own entries plus every entry claimed by a source whose
-  /// weight changed bitwise. Bit-identical to kFull because truth updates
-  /// are per-entry independent (see stream/delta_solve.h).
-  kDelta,
-  /// kDelta plus a shadow full re-solve and a bit-level comparison after
-  /// every chunk; any divergence fails the stream with Internal. The
-  /// property-testing mode behind --delta-solve=verify.
-  kVerify,
-};
-
-/// Work counters of the delta re-solver, for tests, benchmarks and the
-/// CLI's run notes. All zeros when delta_solve is kOff.
-struct DeltaSolveStats {
-  /// Chunks folded into the cumulative claim index (including chunks
-  /// replayed from a checkpoint on resume).
-  uint64_t chunks = 0;
-  /// Entry truth updates actually run by this process (the dirty set plus
-  /// the weight fan-out per chunk; every non-empty entry per chunk under
-  /// kFull).
-  uint64_t entries_resolved = 0;
-  /// Entry truth updates a full re-solve after every chunk would have run
-  /// (the cumulative non-empty entry count, summed over chunks): the
-  /// denominator of the delta saving.
-  uint64_t entries_full = 0;
-  /// Sources whose weight changed bitwise, summed over chunks.
-  uint64_t sources_changed = 0;
-  /// Chunks where kDelta fell back to the streaming full pass because the
-  /// candidate list (dirty set plus fan-out, before dedup) was at least as
-  /// long as a full pass. kVerify never falls back.
-  uint64_t full_fallbacks = 0;
 };
 
 /// Configuration for incremental CRH.
@@ -89,15 +58,14 @@ struct IncrementalCrhOptions {
   /// as if the input had been pre-cleaned, so results on the clean subset
   /// are bit-identical either way.
   bool quarantine_bad_claims = false;
-  /// How the streaming drivers maintain the fused truth table. The non-kOff
-  /// modes keep `truths == truth-update(all claims so far, current
-  /// weights)` — a stronger (and different) semantics than the legacy
-  /// per-chunk patchwork — and require base.supervision == nullptr (the
-  /// supervision clamp is chunk-shaped, the delta re-solve runs in the
-  /// parent entry space). Source weights, accumulators and quarantine
-  /// counts are byte-identical across all four modes; only the truth table
-  /// differs from kOff. Ignored by ProcessChunk itself (the driver owns
-  /// the fused table).
+  /// How the streaming drivers maintain the fused truth table. kFull keeps
+  /// `truths == truth-update(all claims so far, current weights)` — a
+  /// stronger (and different) semantics than the legacy per-chunk
+  /// patchwork — and requires base.supervision == nullptr (the supervision
+  /// clamp is chunk-shaped, the cumulative re-solve runs in the parent
+  /// entry space). Source weights, accumulators and quarantine counts are
+  /// byte-identical across both modes; only the truth table differs.
+  /// Ignored by ProcessChunk itself (the driver owns the fused table).
   DeltaSolveMode delta_solve = DeltaSolveMode::kOff;
 };
 
@@ -148,6 +116,11 @@ class IncrementalCrhProcessor {
   /// Total claims excluded across all sources.
   uint64_t total_quarantined() const;
 
+  /// The processor's pool (null when base.num_threads resolves to a single
+  /// worker). The streaming engine runs its cumulative re-solve on it
+  /// between chunks, so one stream owns one pool.
+  ThreadPool* pool() const { return pool_.get(); }
+
   /// Snapshots the learned state for persistence (stream/checkpoint.h).
   IncrementalCrhState ExportState() const;
 
@@ -192,16 +165,19 @@ struct IncrementalCrhResult {
   /// True when resume had to fall back past a corrupt newest checkpoint
   /// generation to an older good one.
   bool resumed_from_fallback = false;
-  /// Delta re-solver work counters (all zeros when delta_solve is kOff).
-  DeltaSolveStats delta_stats;
 };
 
-/// True for a claim the quarantine would exclude: a non-finite continuous
-/// reading, a label outside the property's dictionary, or a cell whose
-/// kind contradicts the schema. Missing cells are never quarantinable.
-/// Exposed so the delta re-solver (stream/delta_solve.h) filters exactly
-/// the claims the processor filtered when it learned the weights.
-bool IsQuarantinableClaim(const Dataset& data, size_t m, const Value& v);
+/// The claims of \p chunk that I-CRH learns from under
+/// quarantine_bad_claims: \p chunk itself when no claim is quarantinable
+/// (a non-finite continuous reading, a label outside the property's
+/// dictionary, or a cell whose kind contradicts the schema), otherwise a
+/// copy in \p scratch with every such claim cleared and, when
+/// \p quarantined_per_source is non-null, counted per source. The processor
+/// and the streaming engine's cumulative claim index both filter through
+/// this one function, so the index holds exactly the claims the weights
+/// were learned from.
+const Dataset& QuarantineClaims(const Dataset& chunk, Dataset* scratch,
+                                std::vector<uint64_t>* quarantined_per_source);
 
 /// Convenience driver: splits \p data by the configured window and streams
 /// the chunks through an IncrementalCrhProcessor in time order. Equivalent

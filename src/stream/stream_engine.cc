@@ -28,10 +28,10 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Open(
     return Status::InvalidArgument("resume requires a checkpoint directory");
   }
   CRH_RETURN_NOT_OK(ValidateRetryPolicy(resilience.retry));
-  const bool delta_active = options.delta_solve != DeltaSolveMode::kOff;
-  if (delta_active && options.base.supervision != nullptr) {
+  const bool cumulative = options.delta_solve == DeltaSolveMode::kFull;
+  if (cumulative && options.base.supervision != nullptr) {
     return Status::InvalidArgument(
-        "delta_solve maintains truths in the parent entry space and cannot apply the "
+        "delta_solve=kFull maintains truths in the parent entry space and cannot apply the "
         "chunk-shaped supervision clamp; use DeltaSolveMode::kOff with supervision");
   }
 
@@ -39,12 +39,9 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Open(
   // cannot reach it, hence the immediately-owned naked new.
   std::unique_ptr<StreamEngine> engine(
       new StreamEngine(parent, options, resilience));  // lint:allow(naked-new)
-  if (delta_active) {
-    engine->store_.emplace(parent.num_objects(), parent.num_properties(),
-                           parent.num_sources());
-    if (ThreadPool::ResolveNumThreads(options.base.num_threads) > 1) {
-      engine->delta_pool_ = std::make_unique<ThreadPool>(options.base.num_threads);
-    }
+  if (cumulative) {
+    engine->claims_so_far_ =
+        ClaimIndex::CreateEmpty(parent.num_objects(), parent.num_properties());
   }
   if (checkpointing) {
     engine->fingerprint_ = CheckpointFingerprint(options, parent.num_sources(), &parent);
@@ -86,31 +83,23 @@ Status StreamEngine::ApplyChunk(const DataChunk& chunk, bool force_checkpoint) {
   if (applied_ < resumed_) {
     // Replay: the restored checkpoint already covers this chunk. Its
     // weights and truths came from the checkpoint (whose fingerprint tag
-    // guarantees they were maintained under the delta invariant); only the
-    // cumulative claim index needs the chunk's claims back.
-    if (store_) {
-      store_->AppendChunk(chunk.data, chunk.parent_object,
-                          options_.quarantine_bad_claims);
-    }
+    // guarantees they were maintained under the cumulative invariant);
+    // only the cumulative claim index needs the chunk's claims back.
+    if (options_.delta_solve == DeltaSolveMode::kFull) AppendClaims(chunk);
     ++applied_;
     return Status::OK();
   }
   CRH_FAIL_POINT("stream.process_chunk");
-  // The weight snapshot before the refresh bounds the delta fan-out.
-  if (store_) prev_weights_ = processor_.source_weights();
   auto truths = processor_.ProcessChunk(chunk.data);
   if (!truths.ok()) return truths.status();
-  if (store_) {
+  if (options_.delta_solve == DeltaSolveMode::kFull) {
     // Maintain `truths == truth-update(claims so far, current weights)`:
-    // fold the chunk's claims in, then re-solve under the refreshed
-    // weights. The per-chunk truths ProcessChunk returned were computed
-    // under the pre-refresh weights and are superseded.
-    store_->AppendChunk(chunk.data, chunk.parent_object,
-                        options_.quarantine_bad_claims);
-    CRH_RETURN_NOT_OK(store_->Resolve(*parent_, prev_weights_,
-                                      processor_.source_weights(), options_.base,
-                                      delta_pool_.get(), options_.delta_solve,
-                                      &truths_));
+    // fold the chunk's claims in, then re-solve every entry under the
+    // refreshed weights. The per-chunk truths ProcessChunk returned were
+    // computed under the pre-refresh weights and are superseded.
+    AppendClaims(chunk);
+    truths_ = ComputeTruthsGivenWeights(*parent_, claims_so_far_, processor_.source_weights(),
+                                        options_.base, processor_.pool(), workspace_);
   } else {
     for (size_t local = 0; local < chunk.parent_object.size(); ++local) {
       for (size_t m = 0; m < parent_->num_properties(); ++m) {
@@ -156,8 +145,17 @@ IncrementalCrhResult StreamEngine::Finish() && {
   result.chunks_resumed = resumed_;
   result.checkpoints_written = checkpoints_written_;
   result.resumed_from_fallback = resumed_from_fallback_;
-  if (store_) result.delta_stats = store_->stats();
   return result;
+}
+
+void StreamEngine::AppendClaims(const DataChunk& chunk) {
+  // Without quarantine ProcessChunk rejects any chunk holding a
+  // quarantinable claim, so only quarantined runs need the filter.
+  Dataset sanitized;
+  const Dataset& active = options_.quarantine_bad_claims
+                              ? QuarantineClaims(chunk.data, &sanitized, nullptr)
+                              : chunk.data;
+  claims_so_far_.Append(active, chunk.parent_object);
 }
 
 }  // namespace crh

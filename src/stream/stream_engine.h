@@ -17,8 +17,9 @@
 /// Replay contract: after Open() with resume, chunks_resumed() reports how
 /// many chunks the restored checkpoint already covers. Callers must still
 /// submit those chunks, in order, through ApplyChunk(): the engine absorbs
-/// them as cheap replays — delta-maintained runs re-index their claims,
-/// nothing is re-solved, no fail points fire, no checkpoints are written.
+/// them as cheap replays — cumulatively re-solved (kFull) runs re-index
+/// their claims, nothing is solved, no fail points fire, no checkpoints
+/// are written.
 /// This keeps resume purely sequential for at-least-once transports: the
 /// batch driver just iterates from chunk 0, and the server acks replayed
 /// sequence numbers while clients re-send from the start of the stream.
@@ -32,22 +33,22 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "core/crh.h"
+#include "data/claim_index.h"
 #include "stream/checkpoint.h"
 #include "stream/chunks.h"
-#include "stream/delta_solve.h"
 #include "stream/incremental_crh.h"
 
 namespace crh {
 
 /// The resident streaming solver. Owns the I-CRH processor, the fused truth
-/// table, the optional delta-re-solve claim store, and the checkpoint
+/// table, the cumulative claim index of kFull runs, and the checkpoint
 /// manager; one ApplyChunk() call performs exactly one step of the loop the
 /// resilient batch driver used to run inline.
 class StreamEngine {
  public:
-  /// Validates the options, builds the processor (and delta store when
-  /// delta_solve is active), and — when `resilience.resume` is set —
+  /// Validates the options, builds the processor (and, under kFull, the
+  /// empty cumulative claim index), and — when `resilience.resume` is set —
   /// restores the newest compatible checkpoint. A missing checkpoint is a
   /// cold start, not an error. `parent` must outlive the engine: it is the
   /// entry space truths are maintained in, and chunks submitted later must
@@ -74,9 +75,9 @@ class StreamEngine {
   uint64_t last_checkpoint_chunks() const { return last_checkpoint_chunks_; }
 
   /// Applies the next chunk in sequence. Chunks below chunks_resumed() are
-  /// replays (claims re-indexed for delta runs, nothing solved); beyond it
+  /// replays (claims re-indexed for kFull runs, nothing solved); beyond it
   /// the chunk runs one full I-CRH step — truth pass, deviation
-  /// accumulation, weight refresh, delta re-solve — followed by a
+  /// accumulation, weight refresh, kFull's cumulative re-solve — then a
   /// checkpoint when the cadence (checkpoint_every) or `force_checkpoint`
   /// says so. The fail-point site "stream.process_chunk" fires once per
   /// non-replay chunk before it is processed.
@@ -102,9 +103,6 @@ class StreamEngine {
     return weight_history_;
   }
   const std::vector<int64_t>& chunk_starts() const { return chunk_starts_; }
-  DeltaSolveStats delta_stats() const {
-    return store_ ? store_->stats() : DeltaSolveStats{};
-  }
 
   /// Assembles the batch IncrementalCrhResult, consuming the engine.
   IncrementalCrhResult Finish() &&;
@@ -113,6 +111,10 @@ class StreamEngine {
   StreamEngine(const Dataset& parent, const IncrementalCrhOptions& options,
                const StreamResilienceOptions& resilience);
 
+  /// kFull: folds the chunk's claims — filtered exactly as ProcessChunk
+  /// filtered them — into claims_so_far_.
+  void AppendClaims(const DataChunk& chunk);
+
   const Dataset* parent_;
   IncrementalCrhOptions options_;
   StreamResilienceOptions resilience_;
@@ -120,10 +122,11 @@ class StreamEngine {
   ValueTable truths_;
   std::vector<std::vector<double>> weight_history_;
   std::vector<int64_t> chunk_starts_;
-  /// Cumulative claim store for delta-maintained runs (and its own pool:
-  /// the processor's is private to it).
-  std::optional<DeltaTruthStore> store_;
-  std::unique_ptr<ThreadPool> delta_pool_;
+  /// kFull only: every claim applied so far in the parent entry space,
+  /// grown chunk by chunk with ClaimIndex::Append, and the scratch its
+  /// per-chunk re-solve reuses.
+  ClaimIndex claims_so_far_;
+  SolverWorkspace workspace_;
   std::optional<CheckpointManager> manager_;
   uint64_t fingerprint_ = 0;
   uint64_t applied_ = 0;
@@ -131,8 +134,6 @@ class StreamEngine {
   uint64_t checkpoints_written_ = 0;
   uint64_t last_checkpoint_chunks_ = 0;
   bool resumed_from_fallback_ = false;
-  /// Scratch: weight snapshot before each refresh (bounds the delta fan-out).
-  std::vector<double> prev_weights_;
 };
 
 }  // namespace crh

@@ -63,10 +63,8 @@ std::string UsageString() {
       "                       of failing the stream\n"
       "  --delta-solve M      icrh: fused-truth maintenance: off (default; each\n"
       "                       chunk's truths are frozen at its own weight\n"
-      "                       snapshot), full (full re-solve under the current\n"
-      "                       weights after every chunk), on (dirty-set delta\n"
-      "                       re-solve; bit-identical to full), verify (delta\n"
-      "                       plus a shadow full re-solve, bit-compared)\n";
+      "                       snapshot) or full (every claim so far re-solved\n"
+      "                       under the current weights after every chunk)\n";
 }
 
 Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
@@ -129,9 +127,8 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       options.quarantine = true;
     } else if (arg == "--delta-solve") {
       CRH_RETURN_NOT_OK(take(&options.delta_solve));
-      if (options.delta_solve != "off" && options.delta_solve != "full" &&
-          options.delta_solve != "on" && options.delta_solve != "verify") {
-        return Status::InvalidArgument("--delta-solve must be off, full, on or verify");
+      if (options.delta_solve != "off" && options.delta_solve != "full") {
+        return Status::InvalidArgument("--delta-solve must be off or full");
       }
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'\n" + UsageString());
@@ -231,13 +228,7 @@ Result<AlgorithmOutput> RunAlgorithm(const CliOptions& options, const Dataset& d
     icrh_options.window_size = options.window;
     icrh_options.decay = options.decay;
     icrh_options.quarantine_bad_claims = options.quarantine;
-    if (options.delta_solve == "full") {
-      icrh_options.delta_solve = DeltaSolveMode::kFull;
-    } else if (options.delta_solve == "on") {
-      icrh_options.delta_solve = DeltaSolveMode::kDelta;
-    } else if (options.delta_solve == "verify") {
-      icrh_options.delta_solve = DeltaSolveMode::kVerify;
-    }
+    if (options.delta_solve == "full") icrh_options.delta_solve = DeltaSolveMode::kFull;
     StreamResilienceOptions resilience;
     resilience.checkpoint_dir = options.checkpoint_dir;
     resilience.checkpoint_every = static_cast<uint64_t>(options.checkpoint_every);
@@ -255,15 +246,6 @@ Result<AlgorithmOutput> RunAlgorithm(const CliOptions& options, const Dataset& d
     if (!options.checkpoint_dir.empty()) {
       output.notes.push_back("wrote " + std::to_string(result->checkpoints_written) +
                              " checkpoint(s) to " + options.checkpoint_dir);
-    }
-    if (icrh_options.delta_solve != DeltaSolveMode::kOff) {
-      const DeltaSolveStats& ds = result->delta_stats;
-      output.notes.push_back(
-          "delta re-solve: ran " + std::to_string(ds.entries_resolved) + " of the " +
-          std::to_string(ds.entries_full) + " entry updates full re-solving would run" +
-          (options.delta_solve == "verify"
-               ? " (every chunk verified bit-identical to the full re-solve)"
-               : ""));
     }
     if (options.quarantine) {
       uint64_t total = 0;

@@ -48,9 +48,8 @@ struct CliOptions {
   bool resume = false;
   /// icrh: quarantine malformed claims instead of failing the stream.
   bool quarantine = false;
-  /// icrh: fused-truth maintenance — "off" (legacy per-chunk patchwork),
-  /// "full" (full re-solve per chunk), "on" (dirty-set delta re-solve) or
-  /// "verify" (delta + shadow full re-solve, bit-compared every chunk).
+  /// icrh: fused-truth maintenance — "off" (legacy per-chunk patchwork)
+  /// or "full" (cumulative full re-solve per chunk).
   std::string delta_solve = "off";
 };
 

@@ -43,7 +43,7 @@ std::string Usage() {
       "  --window N           timestamps per chunk window (default 1)\n"
       "  --decay A            decay rate in [0,1] (default 0.5)\n"
       "  --quarantine         quarantine malformed claims instead of failing\n"
-      "  --delta-solve M      off (default) | full | on | verify\n"
+      "  --delta-solve M      off (default) | full\n"
       "  --threads N          solver threads (default 1; 0 = hardware)\n"
       "  --queue-capacity N   ingest admission queue bound (default 32)\n"
       "  --retry-after-ms N   retry hint returned on shed ingests (default 50)\n"
@@ -155,9 +155,7 @@ crh::Result<ServeArgs> ParseArgs(const std::vector<std::string>& args) {
 crh::Result<crh::DeltaSolveMode> ParseDeltaSolve(const std::string& mode) {
   if (mode == "off") return crh::DeltaSolveMode::kOff;
   if (mode == "full") return crh::DeltaSolveMode::kFull;
-  if (mode == "on") return crh::DeltaSolveMode::kDelta;
-  if (mode == "verify") return crh::DeltaSolveMode::kVerify;
-  return crh::Status::InvalidArgument("--delta-solve must be off, full, on or verify");
+  return crh::Status::InvalidArgument("--delta-solve must be off or full");
 }
 
 int Run(const std::vector<std::string>& args) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/fault_injection.h"
 #include "data/csv.h"
@@ -81,6 +82,27 @@ TEST(CliParseTest, CheckpointFlagValidation) {
                              "--checkpoint-dir", "d"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
                              "--quarantine"}).ok());
+}
+
+TEST(CliParseTest, DeltaSolveAcceptsOffAndFull) {
+  for (const std::string mode : {"off", "full"}) {
+    auto options = ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                                 "--algorithm", "icrh", "--delta-solve", mode});
+    ASSERT_TRUE(options.ok()) << mode << ": " << options.status().message();
+    EXPECT_EQ(options->delta_solve, mode);
+  }
+  // The retired dirty-set modes are rejected, naming the valid values.
+  for (const std::string mode : {"on", "verify", "delta"}) {
+    auto options = ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                                 "--algorithm", "icrh", "--delta-solve", mode});
+    ASSERT_FALSE(options.ok()) << mode;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument) << mode;
+    EXPECT_NE(options.status().message().find("off or full"), std::string::npos)
+        << options.status().message();
+  }
+  // Like the other stream flags, it applies to icrh only.
+  EXPECT_FALSE(ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                             "--delta-solve", "full"}).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -672,7 +672,7 @@ TEST_F(ServeHandlerTest, ServesEpochZeroBeforeAnyIngest) {
 TEST_F(ServeHandlerTest, IngestedStreamMatchesBatchDriverBitwise) {
   const Dataset data = MakeServeDataset();
   IncrementalCrhOptions options;
-  options.delta_solve = DeltaSolveMode::kDelta;
+  options.delta_solve = DeltaSolveMode::kFull;
 
   auto reference = RunIncrementalCrhResilient(data, options, {});
   ASSERT_TRUE(reference.ok());

@@ -2,11 +2,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "datagen/noise.h"
 #include "eval/metrics.h"
+#include "stream/checkpoint.h"
 #include "stream/incremental_crh.h"
 
 namespace crh {
@@ -532,6 +538,193 @@ TEST(IncrementalCrhTest, ImportStateRejectsMalformedSnapshots) {
   // The failed imports left the processor untouched.
   EXPECT_EQ(proc.source_weights(), (std::vector<double>{1.0, 1.0, 1.0}));
   EXPECT_EQ(proc.chunks_processed(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cumulative re-solve (DeltaSolveMode::kFull)
+// ---------------------------------------------------------------------------
+
+bool BitIdentical(const Value& a, const Value& b) {
+  if (a.is_continuous() != b.is_continuous() || a.is_categorical() != b.is_categorical()) {
+    return false;
+  }
+  if (a.is_continuous()) {
+    const double da = a.continuous();
+    const double db = b.continuous();
+    uint64_t bits_a = 0;
+    uint64_t bits_b = 0;
+    std::memcpy(&bits_a, &da, sizeof(bits_a));
+    std::memcpy(&bits_b, &db, sizeof(bits_b));
+    return bits_a == bits_b;
+  }
+  if (a.is_categorical()) return a.category() == b.category();
+  return true;
+}
+
+void ExpectTablesBitIdentical(const ValueTable& want, const ValueTable& got,
+                              const std::string& label) {
+  ASSERT_EQ(want.num_objects(), got.num_objects()) << label;
+  ASSERT_EQ(want.num_properties(), got.num_properties()) << label;
+  for (size_t i = 0; i < want.num_objects(); ++i) {
+    for (size_t m = 0; m < want.num_properties(); ++m) {
+      EXPECT_TRUE(BitIdentical(want.Get(i, m), got.Get(i, m)))
+          << label << ": entry (" << i << ", " << m << ")";
+    }
+  }
+}
+
+/// A sparse multi-source stream whose chunk-arrival order follows \p perm:
+/// object i lands in the time window perm[i % perm.size()], so different
+/// permutations deliver the same object partition in a different order.
+Dataset MakePermutedStream(size_t num_objects, const std::vector<int64_t>& perm,
+                           uint64_t seed) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddContinuous("x", 0.0).ok());
+  EXPECT_TRUE(schema.AddCategorical("y").ok());
+  std::vector<std::string> objects;
+  for (size_t i = 0; i < num_objects; ++i) objects.push_back("o" + std::to_string(i));
+  Dataset truth_data(std::move(schema), std::move(objects), {});
+  for (const char* label : {"a", "b", "c"}) truth_data.mutable_dict(1).GetOrAdd(label);
+  Rng rng(seed);
+  ValueTable truth(num_objects, 2);
+  for (size_t i = 0; i < num_objects; ++i) {
+    truth.Set(i, 0, Value::Continuous(std::round(rng.Uniform(0, 40))));
+    truth.Set(i, 1, Value::Categorical(static_cast<CategoryId>(rng.UniformInt(0, 2))));
+  }
+  truth_data.set_ground_truth(std::move(truth));
+  NoiseOptions noise;
+  noise.gammas = {0.1, 0.5, 0.9, 1.4, 1.9, 0.3};
+  noise.missing_rate = 0.45;
+  noise.seed = seed;
+  auto noisy = MakeNoisyDataset(truth_data, noise);
+  EXPECT_TRUE(noisy.ok());
+  Dataset data = std::move(noisy).ValueOrDie();
+  std::vector<int64_t> timestamps(num_objects);
+  for (size_t i = 0; i < num_objects; ++i) timestamps[i] = perm[i % perm.size()];
+  EXPECT_TRUE(data.set_timestamps(std::move(timestamps)).ok());
+  return data;
+}
+
+IncrementalCrhOptions StreamOptions(DeltaSolveMode mode, int threads) {
+  IncrementalCrhOptions options;
+  options.window_size = 1;
+  options.delta_solve = mode;
+  options.base.num_threads = threads;
+  return options;
+}
+
+const std::vector<std::vector<int64_t>>& ChunkOrders() {
+  static const std::vector<std::vector<int64_t>> orders = {
+      {0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}};
+  return orders;
+}
+
+TEST(CumulativeResolveTest, FullMatchesWholeStreamOracleAcrossChunkOrders) {
+  // The kFull invariant, checked against an independent oracle: after the
+  // last chunk the fused table is one truth pass over the WHOLE stream
+  // (its own freshly built claim index) at the final weights — for any
+  // chunk-arrival order and any thread count.
+  for (const auto& perm : ChunkOrders()) {
+    const Dataset data = MakePermutedStream(48, perm, 29);
+    auto legacy = RunIncrementalCrhResilient(data, StreamOptions(DeltaSolveMode::kOff, 1),
+                                             StreamResilienceOptions{});
+    ASSERT_TRUE(legacy.ok());
+    for (const int threads : {1, 4}) {
+      const IncrementalCrhOptions options = StreamOptions(DeltaSolveMode::kFull, threads);
+      const std::string label = "full@" + std::to_string(threads);
+      auto result = RunIncrementalCrhResilient(data, options, StreamResilienceOptions{});
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().message();
+      ExpectTablesBitIdentical(
+          ComputeTruthsGivenWeights(data, result->source_weights, options.base),
+          result->truths, label);
+      // The weight path is shared with the legacy mode: byte-identical even
+      // though kOff's truth table keeps the per-chunk patchwork semantics.
+      EXPECT_EQ(legacy->source_weights, result->source_weights) << label;
+      EXPECT_EQ(legacy->accumulated_deviations, result->accumulated_deviations) << label;
+      EXPECT_EQ(legacy->weight_history, result->weight_history) << label;
+    }
+  }
+}
+
+TEST(CumulativeResolveTest, QuarantinedFullMatchesOracleOnPrecleanedStream) {
+  // The cumulative index must hold exactly the claims the weights were
+  // learned from: under quarantine, the oracle runs on the pre-cleaned
+  // stream and the result must match it bit for bit.
+  struct Injected {
+    size_t source, object, property;
+    Value value;
+  };
+  const std::vector<Injected> injected = {
+      {0, 3, 0, Value::Continuous(std::nan(""))},
+      {1, 7, 0, Value::Continuous(-std::numeric_limits<double>::infinity())},
+      {2, 11, 1, Value::Categorical(42)},  // outside the 3-label dictionary
+      {4, 20, 1, Value::Categorical(-7)},
+  };
+  for (const auto& perm : ChunkOrders()) {
+    Dataset dirty = MakePermutedStream(48, perm, 41);
+    Dataset cleaned = dirty;
+    for (const Injected& bad : injected) {
+      dirty.SetObservation(bad.source, bad.object, bad.property, bad.value);
+      cleaned.mutable_observations(bad.source).Clear(bad.object, bad.property);
+    }
+    for (const int threads : {1, 4}) {
+      IncrementalCrhOptions options = StreamOptions(DeltaSolveMode::kFull, threads);
+      options.quarantine_bad_claims = true;
+      const std::string label = "quarantine full@" + std::to_string(threads);
+      auto result = RunIncrementalCrhResilient(dirty, options, StreamResilienceOptions{});
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().message();
+      ExpectTablesBitIdentical(
+          ComputeTruthsGivenWeights(cleaned, result->source_weights, options.base),
+          result->truths, label);
+      uint64_t quarantined = 0;
+      for (uint64_t count : result->quarantined_per_source) quarantined += count;
+      EXPECT_EQ(quarantined, injected.size()) << label;
+
+      options.quarantine_bad_claims = false;
+      auto clean_run = RunIncrementalCrhResilient(cleaned, options, StreamResilienceOptions{});
+      ASSERT_TRUE(clean_run.ok()) << label;
+      EXPECT_EQ(clean_run->source_weights, result->source_weights) << label;
+      ExpectTablesBitIdentical(clean_run->truths, result->truths, label + " vs clean run");
+    }
+  }
+}
+
+TEST(CumulativeResolveTest, ResumeRebuildsTheCumulativeIndex) {
+  // Crash after two chunks, then resume: the replayed chunks must rebuild
+  // the cumulative claim index, or the chunks solved after the resume
+  // would re-solve over a partial stream.
+  const Dataset data = MakePermutedStream(32, {1, 0, 2, 3}, 31);
+  const IncrementalCrhOptions options = StreamOptions(DeltaSolveMode::kFull, 1);
+  auto uninterrupted = RunIncrementalCrhResilient(data, options, StreamResilienceOptions{});
+  ASSERT_TRUE(uninterrupted.ok());
+
+  const std::string dir = testing::TempDir() + "/cumulative_resume";
+  std::filesystem::remove_all(dir);
+  StreamResilienceOptions resilience;
+  resilience.checkpoint_dir = dir;
+  resilience.checkpoint_every = 1;
+  FailPoints::Instance().ClearAll();
+  FailPoints::Instance().FailOnHit("stream.process_chunk", 3);
+  EXPECT_FALSE(RunIncrementalCrhResilient(data, options, resilience).ok());
+  FailPoints::Instance().ClearAll();
+
+  resilience.resume = true;
+  auto resumed = RunIncrementalCrhResilient(data, options, resilience);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed->chunks_resumed, 2u);
+  ExpectTablesBitIdentical(uninterrupted->truths, resumed->truths, "resume");
+  EXPECT_EQ(uninterrupted->source_weights, resumed->source_weights);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CumulativeResolveTest, SupervisionIsRejectedInFullMode) {
+  const Dataset data = MakePermutedStream(16, {0, 1}, 37);
+  ValueTable clamp(data.num_objects(), data.num_properties());
+  IncrementalCrhOptions options = StreamOptions(DeltaSolveMode::kFull, 1);
+  options.base.supervision = &clamp;
+  auto result = RunIncrementalCrhResilient(data, options, StreamResilienceOptions{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
