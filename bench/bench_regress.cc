@@ -13,6 +13,9 @@
 ///    deviations) — ns/source and allocations;
 ///  * the full RunCrh solver at 1, 2 and 4 threads — iterations/s, speedup
 ///    vs 1 thread, and whether results are bit-identical across counts;
+///  * RunParallelCrh against RunCrh at one fixed iteration budget — the
+///    MapReduce jobs run the batch solver's shard kernels, so truths and
+///    weights must be bit-identical (the binary exits nonzero otherwise);
 ///  * heap allocations per pass (global operator new counter).
 ///
 /// Results are written as machine-readable JSON (BENCH_crh.json). With
@@ -36,6 +39,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -48,6 +52,7 @@
 #include "datagen/noise.h"
 #include "datagen/uci_like.h"
 #include "losses/text_distance.h"
+#include "mapreduce/parallel_crh.h"
 
 // The replacement operator new below returns malloc'd memory, which the
 // matching replacement operator delete frees — conformant, but GCC's
@@ -373,6 +378,29 @@ int Main(int argc, char** argv) {
                 row.bit_identical ? "true" : "false");
   }
 
+  // --- Parallel CRH vs the batch solver at one iteration budget: the
+  // MapReduce jobs drive the same shard kernels on the same entry grid.
+  constexpr int kParallelIterations = 5;
+  CrhOptions budget_options = options;
+  budget_options.max_iterations = kParallelIterations;
+  budget_options.convergence_tolerance = 0.0;
+  auto batch = RunCrh(data, budget_options);
+  CRH_CHECK(batch.ok());
+  ParallelCrhOptions parallel_options;
+  parallel_options.base = budget_options;
+  parallel_options.max_iterations = kParallelIterations;
+  parallel_options.convergence_tolerance = 0.0;
+  auto parallel = RunParallelCrh(data, parallel_options);
+  CRH_CHECK(parallel.ok());
+  const bool parallel_identical =
+      TablesBitIdentical(batch->truths, parallel->truths) &&
+      batch->source_weights.size() == parallel->source_weights.size() &&
+      std::memcmp(batch->source_weights.data(), parallel->source_weights.data(),
+                  batch->source_weights.size() * sizeof(double)) == 0;
+  std::printf("parallel CRH vs batch: %d iterations, %zu entry shards, bit_identical %s\n",
+              kParallelIterations, NumEntryShards(index.num_entries()),
+              parallel_identical ? "true" : "false");
+
   // --- JSON report.
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   CRH_CHECK(out != nullptr);
@@ -433,6 +461,10 @@ int Main(int argc, char** argv) {
   for (const SolverRow& row : solver_rows) all_identical = all_identical && row.bit_identical;
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: parallel solver results differ from 1-thread results\n");
+    return 1;
+  }
+  if (!parallel_identical) {
+    std::fprintf(stderr, "FAIL: RunParallelCrh results differ from RunCrh results\n");
     return 1;
   }
   return 0;

@@ -29,42 +29,10 @@ struct SolverState {
   std::vector<size_t> num_labels;  // L_m per property (0 for continuous)
 };
 
-/// Read-only view of a candidate solution for loss evaluation. `soft` and
-/// `num_labels` are null under the hard categorical model; when set, the
-/// soft loss (Eq 11) is scored directly against the property blocks.
-struct TruthView {
-  const ValueTable* truths = nullptr;
-  const std::vector<std::vector<double>>* soft = nullptr;
-  const std::vector<size_t>* num_labels = nullptr;
-};
-
-// --- Deterministic shard grid ------------------------------------------------
-//
-// Every accumulation over claims is cut on a fixed grid of contiguous
-// entry ranges whose boundaries depend only on the number of entries,
-// never on the thread count. Each shard's partial is computed in entry
-// order by exactly one worker, and partials are reduced in shard order —
-// so the floating-point association tree is a property of the data shape
-// and results are bit-identical at any thread count (including the
-// sequential path, which walks the same shards in order).
+// --- Deterministic shard grid (see crh.h) ------------------------------------
 
 constexpr size_t kMinEntriesPerShard = 1024;
 constexpr size_t kMaxEntryShards = 64;
-
-size_t NumEntryShards(size_t num_entries) {
-  if (num_entries <= kMinEntriesPerShard) return 1;
-  const size_t by_size = (num_entries + kMinEntriesPerShard - 1) / kMinEntriesPerShard;
-  return std::min(kMaxEntryShards, by_size);
-}
-
-struct EntryRange {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-EntryRange ShardRange(size_t num_entries, size_t num_shards, size_t shard) {
-  return {num_entries * shard / num_shards, num_entries * (shard + 1) / num_shards};
-}
 
 /// Runs fn(shard) for every shard; on the pool when one is available,
 /// inline (in shard order) otherwise. Shard-to-worker assignment is static
@@ -80,6 +48,16 @@ void RunShards(size_t num_shards, ThreadPool* pool, const std::function<void(siz
 
 }  // namespace
 
+size_t NumEntryShards(size_t num_entries) {
+  if (num_entries <= kMinEntriesPerShard) return 1;
+  const size_t by_size = (num_entries + kMinEntriesPerShard - 1) / kMinEntriesPerShard;
+  return std::min(kMaxEntryShards, by_size);
+}
+
+EntryRange ShardRange(size_t num_entries, size_t num_shards, size_t shard) {
+  return {num_entries * shard / num_shards, num_entries * (shard + 1) / num_shards};
+}
+
 // --- Caller-owned solver scratch ---------------------------------------------
 //
 // Every buffer the per-iteration passes need is carved out of ONE bump
@@ -87,9 +65,9 @@ void RunShards(size_t num_shards, ThreadPool* pool, const std::function<void(siz
 // the CRH_HOT shard kernels below only read and index into it.
 // scripts/crh_analyzer.py (--check=hot) statically verifies the kernels
 // stay allocation-, lock- and I/O-free. The structs have external linkage
-// (not the anonymous namespace) only so SolverWorkspace::Impl can embed
-// them without GCC's -Wsubobject-linkage tripping; they are private to
-// this translation unit in every other respect.
+// (not the anonymous namespace) so SolverWorkspace::Impl can embed them
+// without GCC's -Wsubobject-linkage tripping; outside this translation unit
+// EntryScratch is an opaque handle passed back to the shard kernels.
 
 /// Per-shard scratch: exactly one worker touches a shard's EntryScratch at
 /// a time (static shard-to-worker assignment), so no synchronization. All
@@ -106,6 +84,7 @@ struct EntryScratch {
 struct SolverScratch {
   Arena arena;
   size_t num_shards = 0;
+  size_t cells = 0;                      // K * M
   std::vector<EntryScratch> per_shard;   // one per shard
   double* partial_loss = nullptr;        // num_shards x (K * M)
   uint32_t* partial_count = nullptr;     // num_shards x (K * M)
@@ -151,6 +130,7 @@ void EnsureSolverScratch(const Dataset& data, const ClaimIndex& index,
   }
 
   const size_t cells = k_sources * m_props;
+  scratch->cells = cells;
   size_t bytes = 0;
   bytes += num_shards * (Arena::BytesFor<double>(max_claims) +
                          ResolverScratch::BytesNeeded(max_claims) +
@@ -278,26 +258,6 @@ CRH_HOT void ResolveEntryTruth(const Dataset& data, const std::vector<PropertyTy
   }
 }
 
-/// Eq 3 over one shard's contiguous entry range. The (i, m) coordinates
-/// advance incrementally — no per-entry divide.
-CRH_HOT void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
-                               const std::vector<PropertyType>& types,
-                               const std::vector<char>& soft_active,
-                               const std::vector<const std::vector<double>*>& weights_for,
-                               const CrhOptions& options, EntryRange range, size_t m_props,
-                               EntryScratch& scratch, SolverState* state) {
-  size_t i = range.begin / m_props;
-  size_t m = range.begin % m_props;
-  for (size_t e = range.begin; e < range.end; ++e) {
-    ResolveEntryTruth(data, types, soft_active, weights_for, options, i, m, index.entry(e),
-                      scratch, &state->truths, &state->soft, &state->num_labels);
-    if (++m == m_props) {
-      m = 0;
-      ++i;
-    }
-  }
-}
-
 /// Streams the per-claim losses of one entry into \p sink(c, source, loss)
 /// — the shared body of the loss-matrix, grouped-objective and objective
 /// kernels. The per-entry invariants (property type, truth value, entry
@@ -352,6 +312,59 @@ CRH_HOT void AccumulateEntryLosses(const Dataset& data, const TruthView& view,
   }
 }
 
+}  // namespace
+
+// --- Public shard API (see crh.h) --------------------------------------------
+
+size_t SolverWorkspace::Prepare(const Dataset& data, const ClaimIndex& index) {
+  EnsureSolverScratch(data, index, &impl_->scratch);
+  return impl_->scratch.num_shards;
+}
+
+SolverWorkspace::Shard SolverWorkspace::shard(size_t shard) {
+  SolverScratch& scratch = impl_->scratch;
+  CRH_DCHECK_LT(shard, scratch.num_shards);
+  return {&scratch.per_shard[shard], scratch.partial_loss + shard * scratch.cells,
+          scratch.partial_count + shard * scratch.cells};
+}
+
+TruthDispatch MakeTruthDispatch(const Dataset& data,
+                                const std::vector<std::vector<double>>& group_weights,
+                                const std::vector<size_t>& property_group,
+                                const CrhOptions& options) {
+  const size_t m_props = data.num_properties();
+  TruthDispatch dispatch;
+  dispatch.types.resize(m_props);
+  dispatch.soft_active.assign(m_props, 0);
+  dispatch.weights_for.resize(m_props);
+  for (size_t m = 0; m < m_props; ++m) {
+    dispatch.types[m] = data.schema().property(m).type;
+    dispatch.soft_active[m] = dispatch.types[m] == PropertyType::kCategorical &&
+                              options.categorical_model == CategoricalModel::kSoftProbability;
+    dispatch.weights_for[m] = &group_weights[property_group[m]];
+  }
+  return dispatch;
+}
+
+/// Eq 3 over one shard's contiguous entry range. The (i, m) coordinates
+/// advance incrementally — no per-entry divide.
+CRH_HOT void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
+                               const TruthDispatch& dispatch, const CrhOptions& options,
+                               EntryRange range, size_t m_props, EntryScratch& scratch,
+                               ValueTable* truths, std::vector<std::vector<double>>* soft,
+                               const std::vector<size_t>* num_labels) {
+  size_t i = range.begin / m_props;
+  size_t m = range.begin % m_props;
+  for (size_t e = range.begin; e < range.end; ++e) {
+    ResolveEntryTruth(data, dispatch.types, dispatch.soft_active, dispatch.weights_for, options,
+                      i, m, index.entry(e), scratch, truths, soft, num_labels);
+    if (++m == m_props) {
+      m = 0;
+      ++i;
+    }
+  }
+}
+
 /// One shard of the normalized loss matrix: accumulates per-cell loss and
 /// observation counts over the shard's claims into caller-owned slices
 /// (zeroed here — the kernel owns its whole slice).
@@ -380,6 +393,52 @@ CRH_HOT void LossMatrixShard(const Dataset& data, const ClaimIndex& index,
     }
   }
 }
+
+void NormalizeLossMatrix(const CrhOptions& options, size_t k_sources, size_t m_props,
+                         const size_t* count, double* loss) {
+  const size_t cells = k_sources * m_props;
+  if (options.normalize_by_observation_count) {
+    for (size_t cell = 0; cell < cells; ++cell) {
+      if (count[cell] > 0) loss[cell] /= static_cast<double>(count[cell]);
+    }
+  }
+
+  if (options.property_normalization != PropertyLossNormalization::kNone) {
+    for (size_t m = 0; m < m_props; ++m) {
+      double norm = 0.0;
+      for (size_t k = 0; k < k_sources; ++k) {
+        if (options.property_normalization == PropertyLossNormalization::kSum) {
+          norm += loss[k * m_props + m];
+        } else {
+          norm = std::max(norm, loss[k * m_props + m]);
+        }
+      }
+      if (norm > 0) {
+        for (size_t k = 0; k < k_sources; ++k) loss[k * m_props + m] /= norm;
+      }
+    }
+  }
+}
+
+std::vector<double> SourceLossTotals(const double* loss, size_t k_sources, size_t m_props) {
+  std::vector<double> totals(k_sources, 0.0);
+  for (size_t k = 0; k < k_sources; ++k) {
+    for (size_t m = 0; m < m_props; ++m) totals[k] += loss[k * m_props + m];
+  }
+  return totals;
+}
+
+void MeanGroupWeights(const std::vector<std::vector<double>>& group_weights,
+                      std::vector<double>* mean) {
+  const size_t num_groups = group_weights.size();
+  std::fill(mean->begin(), mean->end(), 0.0);
+  for (size_t k = 0; k < mean->size(); ++k) {
+    for (size_t g = 0; g < num_groups; ++g) (*mean)[k] += group_weights[g][k];
+    (*mean)[k] /= static_cast<double>(num_groups);
+  }
+}
+
+namespace {
 
 /// One shard of the grouped (Eq 1, per-group weights) objective.
 CRH_HOT double GroupedObjectiveShard(const Dataset& data, const ClaimIndex& index,
@@ -447,23 +506,13 @@ void UpdateTruths(const Dataset& data, const ClaimIndex& index,
                   ThreadPool* pool, SolverScratch& scratch, SolverState* state) {
   const size_t m_props = data.num_properties();
   const size_t num_entries = index.num_entries();
-
-  // Per-property dispatch, resolved once instead of per entry.
-  std::vector<PropertyType> types(m_props);
-  std::vector<char> soft_active(m_props, 0);
-  std::vector<const std::vector<double>*> weights_for(m_props);
-  for (size_t m = 0; m < m_props; ++m) {
-    types[m] = data.schema().property(m).type;
-    soft_active[m] = types[m] == PropertyType::kCategorical &&
-                     options.categorical_model == CategoricalModel::kSoftProbability;
-    weights_for[m] = &group_weights[property_group[m]];
-  }
+  const TruthDispatch dispatch = MakeTruthDispatch(data, group_weights, property_group, options);
 
   const size_t num_shards = scratch.num_shards;
   RunShards(num_shards, pool, [&](size_t shard) {
-    UpdateTruthsShard(data, index, types, soft_active, weights_for, options,
-                      ShardRange(num_entries, num_shards, shard), m_props,
-                      scratch.per_shard[shard], state);
+    UpdateTruthsShard(data, index, dispatch, options, ShardRange(num_entries, num_shards, shard),
+                      m_props, scratch.per_shard[shard], &state->truths, &state->soft,
+                      &state->num_labels);
   });
 }
 
@@ -502,28 +551,7 @@ void NormalizedLossMatrix(const Dataset& data, const ClaimIndex& index, const Tr
       count[cell] += shard_count[cell];
     }
   }
-
-  if (options.normalize_by_observation_count) {
-    for (size_t cell = 0; cell < cells; ++cell) {
-      if (count[cell] > 0) loss[cell] /= static_cast<double>(count[cell]);
-    }
-  }
-
-  if (options.property_normalization != PropertyLossNormalization::kNone) {
-    for (size_t m = 0; m < m_props; ++m) {
-      double norm = 0.0;
-      for (size_t k = 0; k < k_sources; ++k) {
-        if (options.property_normalization == PropertyLossNormalization::kSum) {
-          norm += loss[k * m_props + m];
-        } else {
-          norm = std::max(norm, loss[k * m_props + m]);
-        }
-      }
-      if (norm > 0) {
-        for (size_t k = 0; k < k_sources; ++k) loss[k * m_props + m] /= norm;
-      }
-    }
-  }
+  NormalizeLossMatrix(options, k_sources, m_props, count, loss);
 }
 
 /// Sums the normalized loss matrix over all properties (the global
@@ -533,12 +561,7 @@ std::vector<double> AggregateSourceLosses(const Dataset& data, const ClaimIndex&
                                           const CrhOptions& options, ThreadPool* pool,
                                           SolverScratch& scratch) {
   NormalizedLossMatrix(data, index, view, stats, options, pool, scratch);
-  const size_t m_props = data.num_properties();
-  std::vector<double> totals(data.num_sources(), 0.0);
-  for (size_t k = 0; k < data.num_sources(); ++k) {
-    for (size_t m = 0; m < m_props; ++m) totals[k] += scratch.loss[k * m_props + m];
-  }
-  return totals;
+  return SourceLossTotals(scratch.loss, data.num_sources(), data.num_properties());
 }
 
 /// Eq-1 objective with per-group weights: sum over claims of
@@ -792,11 +815,7 @@ Result<CrhResult> RunCrh(const Dataset& data, const CrhOptions& options) {
 
     // Convergence is judged on the mean-across-groups weights via the raw
     // objective (Eq 1).
-    std::fill(mean_weights.begin(), mean_weights.end(), 0.0);
-    for (size_t k = 0; k < k_sources; ++k) {
-      for (size_t g = 0; g < num_groups; ++g) mean_weights[k] += group_weights[g][k];
-      mean_weights[k] /= static_cast<double>(num_groups);
-    }
+    MeanGroupWeights(group_weights, &mean_weights);
     result.iterations = iter + 1;
     const double objective = CrhObjectiveOverIndex(data, index, state.truths, mean_weights,
                                                    stats, options, pool, scratch);
@@ -834,10 +853,7 @@ Result<CrhResult> RunCrh(const Dataset& data, const CrhOptions& options) {
   result.truths = std::move(state.truths);
   result.property_group = property_group;
   result.source_weights.assign(k_sources, 0.0);
-  for (size_t k = 0; k < k_sources; ++k) {
-    for (size_t g = 0; g < num_groups; ++g) result.source_weights[k] += group_weights[g][k];
-    result.source_weights[k] /= static_cast<double>(num_groups);
-  }
+  MeanGroupWeights(group_weights, &result.source_weights);
   if (options.weight_granularity != WeightGranularity::kGlobal) {
     // fine_grained_weights is K x G.
     result.fine_grained_weights.assign(k_sources, std::vector<double>(num_groups, 0.0));

@@ -24,6 +24,8 @@
 ///   const crh::ValueTable& truths = result->truths;
 ///   const std::vector<double>& weights = result->source_weights;
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -170,6 +172,33 @@ struct CrhResult {
   bool converged = false;
 };
 
+// --- Deterministic entry-shard grid ------------------------------------------
+//
+// Every accumulation over claims is cut on a fixed grid of contiguous
+// entry ranges whose boundaries depend only on the number of entries,
+// never on the thread count. Each shard's partial is computed in entry
+// order by exactly one worker, and partials are reduced in shard order —
+// so the floating-point association tree is a property of the data shape
+// and results are bit-identical at any thread count (including the
+// sequential path, which walks the same shards in order). Parallel CRH's
+// MapReduce jobs take these shards as their input records.
+
+/// Number of shards of the grid over \p num_entries entries.
+size_t NumEntryShards(size_t num_entries);
+
+/// A contiguous range [begin, end) of entry ids e = i * M + m.
+struct EntryRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// The entries of shard \p shard of \p num_shards.
+EntryRange ShardRange(size_t num_entries, size_t num_shards, size_t shard);
+
+/// One shard's kernel scratch (defined in crh.cc; reached through
+/// SolverWorkspace::shard).
+struct EntryScratch;
+
 /// Reusable solver scratch: one bump-arena allocation backing every
 /// per-iteration buffer of the pass entry points below. Callers that run
 /// many passes — the incremental solver, the streaming engine's
@@ -178,13 +207,27 @@ struct CrhResult {
 /// the first sizing, passes run allocation-free.
 /// Sized (and resized) automatically by the passes; reusable across
 /// datasets. Not thread-safe: one workspace serves one call at a time
-/// (the pass itself may fan work out over a pool internally).
+/// (the pass itself may fan work out over a pool internally); distinct
+/// shards' slots may be used concurrently.
 class SolverWorkspace {
  public:
   SolverWorkspace();
   ~SolverWorkspace();
   SolverWorkspace(SolverWorkspace&&) noexcept;
   SolverWorkspace& operator=(SolverWorkspace&&) noexcept;
+
+  /// Sizes every buffer for \p data and its \p index (allocation-free when
+  /// already large enough) and returns the shard count of the entry grid.
+  size_t Prepare(const Dataset& data, const ClaimIndex& index);
+
+  /// One shard's slot of a prepared workspace: the kernel scratch plus the
+  /// shard's K x M partial loss and observation-count slices.
+  struct Shard {
+    EntryScratch* scratch = nullptr;
+    double* loss = nullptr;
+    uint32_t* count = nullptr;
+  };
+  Shard shard(size_t shard);
 
   /// Opaque scratch (defined in crh.cc).
   struct Impl;
@@ -193,6 +236,73 @@ class SolverWorkspace {
  private:
   std::unique_ptr<Impl> impl_;
 };
+
+// --- Shard kernels -----------------------------------------------------------
+//
+// The per-shard steps of every iteration and the steps that finish their
+// reduction, exactly as RunCrh runs them. Each shard kernel touches only
+// its own shard's entries and scratch, so shards can run on any worker in
+// any order.
+
+/// Per-property truth-update dispatch, resolved once per pass instead of
+/// per entry. Borrows the weight vectors it points at.
+struct TruthDispatch {
+  std::vector<PropertyType> types;
+  /// Nonzero where the soft categorical model is active.
+  std::vector<char> soft_active;
+  /// The source weights each property's truths are resolved with.
+  std::vector<const std::vector<double>*> weights_for;
+};
+
+/// Builds the dispatch for per-group weights; property m uses
+/// group_weights[property_group[m]].
+TruthDispatch MakeTruthDispatch(const Dataset& data,
+                                const std::vector<std::vector<double>>& group_weights,
+                                const std::vector<size_t>& property_group,
+                                const CrhOptions& options);
+
+/// Truth update (Eq 3) of every entry in \p range, written into \p truths;
+/// supervised cells are clamped to their labels. \p soft / \p num_labels
+/// receive the label distributions of soft-model properties and may be null
+/// when the dispatch has none.
+void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
+                       const TruthDispatch& dispatch, const CrhOptions& options,
+                       EntryRange range, size_t m_props, EntryScratch& scratch,
+                       ValueTable* truths, std::vector<std::vector<double>>* soft,
+                       const std::vector<size_t>* num_labels);
+
+/// Read-only view of a candidate solution for loss evaluation. `soft` and
+/// `num_labels` are null under the hard categorical model; when set, the
+/// soft loss (Eq 11) is scored directly against the property blocks.
+struct TruthView {
+  const ValueTable* truths = nullptr;
+  const std::vector<std::vector<double>>* soft = nullptr;
+  const std::vector<size_t>* num_labels = nullptr;
+};
+
+/// One shard of the loss matrix: the per-cell (cell = source * M +
+/// property) loss and observation counts of the shard's claims, written
+/// over the caller's \p cells-long slices (zeroed first).
+void LossMatrixShard(const Dataset& data, const ClaimIndex& index, const TruthView& view,
+                     const EntryStats& stats, ContinuousModel continuous_model,
+                     EntryRange range, size_t m_props, double* loss, uint32_t* count,
+                     size_t cells, EntryScratch& scratch);
+
+/// Finishes a loss matrix reduced over all shards (row-major K x M, summed
+/// in shard order) in place: the observation-count and per-property
+/// normalizations configured in \p options.
+void NormalizeLossMatrix(const CrhOptions& options, size_t k_sources, size_t m_props,
+                         const size_t* count, double* loss);
+
+/// Each source's total over properties of a normalized K x M loss matrix:
+/// the deviations ComputeSourceWeights turns into weights.
+std::vector<double> SourceLossTotals(const double* loss, size_t k_sources, size_t m_props);
+
+/// Each source's mean weight across weight groups into \p mean (size K):
+/// the weights RunCrh reports. Summing from +0.0 reports a group weight of
+/// -0.0 as +0.0.
+void MeanGroupWeights(const std::vector<std::vector<double>>& group_weights,
+                      std::vector<double>* mean);
 
 /// Runs CRH (Algorithm 1) on a multi-source dataset.
 ///

@@ -51,17 +51,6 @@ void RunOnThreads(std::vector<std::function<void()>> tasks, ThreadPool* pool) {
   pool->ParallelFor(tasks.size(), [&tasks](size_t t) { tasks[t](); });
 }
 
-void RunOnThreads(std::vector<std::function<void()>> tasks, int num_threads) {
-  size_t workers = ThreadPool::ResolveNumThreads(num_threads);
-  workers = std::min(workers, tasks.size());
-  if (workers <= 1) {
-    for (auto& task : tasks) task();
-    return;
-  }
-  ThreadPool pool(static_cast<int>(workers));
-  RunOnThreads(std::move(tasks), &pool);
-}
-
 }  // namespace internal
 
 }  // namespace crh

@@ -94,14 +94,9 @@ struct MapReduceSpec {
 
 namespace internal {
 
-/// Runs `tasks` callables on up to `num_threads` OS threads (all tasks run
-/// concurrently in waves; exceptions must not escape the callables).
-/// Creates a transient ThreadPool; jobs that run several task waves should
-/// build one pool and use the overload below.
-void RunOnThreads(std::vector<std::function<void()>> tasks, int num_threads);
-
 /// Runs `tasks` on an existing pool (task t on worker t % W, the caller
-/// participating as worker 0). A null pool runs the tasks inline in order.
+/// participating as worker 0; exceptions must not escape the callables).
+/// A null pool runs the tasks inline in order.
 void RunOnThreads(std::vector<std::function<void()>> tasks, ThreadPool* pool);
 
 /// Deterministic fault-injection decision for (phase, task, attempt).
@@ -116,7 +111,7 @@ template <typename In, typename K, typename V, typename Out>
 [[nodiscard]] Result<MapReduceOutput<Out>> RunMapReduce(const std::vector<In>& input,
                                                         const MapReduceSpec<In, K, V, Out>& spec,
                                                         const MapReduceConfig& config = {}) {
-                CRH_RETURN_NOT_OK(ValidateMapReduceConfig(config));
+  CRH_RETURN_NOT_OK(ValidateMapReduceConfig(config));
   if (!spec.map || !spec.reduce) {
     return Status::InvalidArgument("map and reduce functions are required");
   }

@@ -2,53 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <unordered_map>
+#include <cstdint>
+#include <numeric>
+#include <utility>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "losses/resolvers.h"
+#include "data/claim_index.h"
 #include "data/stats.h"
-#include "losses/text_distance.h"
 #include "weights/weight_scheme.h"
 
 namespace crh {
-
-std::vector<ObservationTuple> DatasetToTuples(const Dataset& data) {
-  std::vector<ObservationTuple> tuples;
-  tuples.reserve(data.num_observations());
-  const uint64_t m_props = data.num_properties();
-  for (size_t k = 0; k < data.num_sources(); ++k) {
-    const ValueTable& table = data.observations(k);
-    for (size_t i = 0; i < data.num_objects(); ++i) {
-      for (size_t m = 0; m < m_props; ++m) {
-        const Value& v = table.Get(i, m);
-        if (v.is_missing()) continue;
-        tuples.push_back({static_cast<uint64_t>(i) * m_props + m,
-                          static_cast<uint32_t>(k), v});
-      }
-    }
-  }
-  return tuples;
-}
-
-namespace {
-
-/// The "external files" all tasks can read (Section 2.7.2): source weights
-/// and, after each truth job, the current truths plus entry scales.
-struct DistributedCache {
-  std::vector<double> weights;
-  std::unordered_map<uint64_t, Value> truths;
-  std::unordered_map<uint64_t, double> scales;  // continuous entries only
-};
-
-double CacheScale(const DistributedCache& cache, uint64_t entry_id) {
-  const auto it = cache.scales.find(entry_id);
-  return it == cache.scales.end() ? 1.0 : it->second;
-}
-
-}  // namespace
 
 Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
                                          const ParallelCrhOptions& options) {
@@ -56,190 +21,104 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
     return Status::NotImplemented(
         "the soft categorical model is not supported by parallel CRH");
   }
+  if (options.base.supervision != nullptr) {
+    return Status::NotImplemented("supervision is not supported by parallel CRH");
+  }
+  if (options.base.weight_granularity != WeightGranularity::kGlobal) {
+    return Status::NotImplemented(
+        "non-global weight granularities are not supported by parallel CRH");
+  }
   if (data.num_sources() == 0) {
     return Status::InvalidArgument("dataset has no sources");
+  }
+  if (data.num_entries() == 0) {
+    return Status::InvalidArgument("dataset has no entries");
+  }
+  if (options.max_iterations < 1) {
+    return Status::InvalidArgument("max_iterations must be >= 1");
   }
   CRH_RETURN_NOT_OK(ValidateMapReduceConfig(options.mr));
 
   Stopwatch watch;
   const size_t k_sources = data.num_sources();
-  const uint64_t m_props = data.num_properties();
-  const std::vector<ObservationTuple> tuples = DatasetToTuples(data);
+  const size_t m_props = data.num_properties();
+  const size_t cells = k_sources * m_props;
+  const EntryStats stats = ComputeEntryStats(data);
+  const ClaimIndex index = ClaimIndex::Build(data);
+  const size_t num_entries = index.num_entries();
+  SolverWorkspace workspace;
+  const size_t num_shards = workspace.Prepare(data, index);
+  // The input records of every job: the entry shards, in grid order.
+  std::vector<size_t> shards(num_shards);
+  std::iota(shards.begin(), shards.end(), size_t{0});
 
   ParallelCrhResult result;
-  DistributedCache cache;
-  cache.weights.assign(k_sources, 1.0 / static_cast<double>(k_sources));
+  // The shared "files" every task reads (Section 2.7.2): the source weights
+  // as one global weight group, starting from RunCrh's uniform 1.0, and the
+  // dense truth table.
+  std::vector<std::vector<double>> weights(1, std::vector<double>(k_sources, 1.0));
+  const std::vector<size_t> one_group(m_props, 0);
+  ValueTable truths(data.num_objects(), m_props);
 
-  const auto property_type = [&](uint64_t entry_id) {
-    return data.schema().property(static_cast<size_t>(entry_id % m_props)).type;
-  };
-  const auto is_categorical = [&](uint64_t entry_id) {
-    return property_type(entry_id) == PropertyType::kCategorical;
-  };
-  const auto text_distance = [&](uint64_t entry_id, const Value& a, const Value& b) {
-    const size_t m = static_cast<size_t>(entry_id % m_props);
-    return NormalizedEditDistance(data.dict(m).label(a.category()),
-                                  data.dict(m).label(b.category()));
-  };
-
-  // --- Statistics job: per-entry claim dispersion for continuous losses.
-  {
-    MapReduceSpec<ObservationTuple, uint64_t, double, std::pair<uint64_t, double>> spec;
-    spec.map = [&](const ObservationTuple& t,
-                   std::vector<std::pair<uint64_t, double>>* out) {
-      if (property_type(t.entry_id) == PropertyType::kContinuous) {
-        out->emplace_back(t.entry_id, t.value.continuous());
-      }
-    };
-    spec.reduce = [](const uint64_t& entry, std::vector<double>&& values,
-                     std::vector<std::pair<uint64_t, double>>* out) {
-      if (values.size() < 2) return;
-      double sum = 0, sum_sq = 0;
-      for (double v : values) {
-        sum += v;
-        sum_sq += v * v;
-      }
-      const double mean = sum / static_cast<double>(values.size());
-      double var = sum_sq / static_cast<double>(values.size()) - mean * mean;
-      if (var < 0) var = 0;
-      const double sd = std::sqrt(var);
-      if (sd > 1e-12) out->emplace_back(entry, sd);
-    };
-    auto job = RunMapReduce(tuples, spec, options.mr);
-    if (!job.ok()) return job.status();
-    for (const auto& [entry, scale] : job->records) cache.scales.emplace(entry, scale);
-    result.job_stats.push_back(job->stats);
-  }
-
-  // --- Per-iteration jobs.
+  // Truth job, map-only: each task writes its shard's truths into the
+  // shared table. A killed attempt's writes are overwritten by its retry
+  // with the same values, and no two tasks share an entry.
   const auto run_truth_job = [&]() -> Status {
-    MapReduceSpec<ObservationTuple, uint64_t, std::pair<uint32_t, Value>,
-                  std::pair<uint64_t, Value>> spec;
-    spec.map = [](const ObservationTuple& t,
-                  std::vector<std::pair<uint64_t, std::pair<uint32_t, Value>>>* out) {
-      out->emplace_back(t.entry_id, std::make_pair(t.source_id, t.value));
+    const TruthDispatch dispatch = MakeTruthDispatch(data, weights, one_group, options.base);
+    MapReduceSpec<size_t, size_t, size_t, size_t> spec;
+    spec.map = [&](const size_t& shard, std::vector<std::pair<size_t, size_t>>*) {
+      UpdateTruthsShard(data, index, dispatch, options.base,
+                        ShardRange(num_entries, num_shards, shard), m_props,
+                        *workspace.shard(shard).scratch, &truths, nullptr, nullptr);
     };
-    spec.reduce = [&](const uint64_t& entry, std::vector<std::pair<uint32_t, Value>>&& claims,
-                      std::vector<std::pair<uint64_t, Value>>* out) {
-      std::vector<double> weights;
-      weights.reserve(claims.size());
-      for (const auto& [source, value] : claims) weights.push_back(cache.weights[source]);
-      Value truth;
-      if (is_categorical(entry)) {
-        std::vector<Value> values;
-        values.reserve(claims.size());
-        for (const auto& [source, value] : claims) values.push_back(value);
-        truth = WeightedVote(values, weights);
-      } else if (property_type(entry) == PropertyType::kText) {
-        std::vector<Value> values;
-        values.reserve(claims.size());
-        for (const auto& [source, value] : claims) values.push_back(value);
-        truth = WeightedMedoid(values, weights, [&](const Value& a, const Value& b) {
-          return text_distance(entry, a, b);
-        });
-      } else {
-        std::vector<double> values;
-        values.reserve(claims.size());
-        for (const auto& [source, value] : claims) values.push_back(value.continuous());
-        if (options.base.continuous_model == ContinuousModel::kMedian) {
-          truth = Value::Continuous(WeightedMedian(std::move(values), std::move(weights)));
-        } else {
-          double v = WeightedMean(values, weights);
-          if (std::isnan(v)) {
-            v = WeightedMedian(std::move(values), std::vector<double>(claims.size(), 1.0));
-          }
-          truth = Value::Continuous(v);
-        }
-      }
-      out->emplace_back(entry, truth);
-    };
-    auto job = RunMapReduce(tuples, spec, options.mr);
+    spec.reduce = [](const size_t&, std::vector<size_t>&&, std::vector<size_t>*) {};
+    auto job = RunMapReduce(shards, spec, options.mr);
     if (!job.ok()) return job.status();
-    cache.truths.clear();
-    for (const auto& [entry, truth] : job->records) cache.truths.emplace(entry, truth);
     result.job_stats.push_back(job->stats);
     return Status::OK();
   };
 
+  // Weight job: key source * M + property, value (loss, claim count). Each
+  // map task already emits one record per non-empty cell of its shard, so
+  // there is no combiner; the reduce adds a cell's partials in arrival
+  // order, which is shard order — the order RunCrh reduces them in.
+  using LossAndCount = std::pair<double, uint64_t>;
   const auto run_weight_job = [&]() -> Result<std::vector<double>> {
-    // Key: source * M + property, so the wrapper can apply the per-property
-    // normalization of Section 2.5. Value: (partial error, claim count).
-    using ErrAndCount = std::pair<double, uint64_t>;
-    MapReduceSpec<ObservationTuple, uint64_t, ErrAndCount, std::pair<uint64_t, ErrAndCount>>
-        spec;
-    spec.map = [&](const ObservationTuple& t,
-                   std::vector<std::pair<uint64_t, ErrAndCount>>* out) {
-      const auto truth_it = cache.truths.find(t.entry_id);
-      if (truth_it == cache.truths.end()) return;
-      const Value& truth = truth_it->second;
-      double loss;
-      if (is_categorical(t.entry_id)) {
-        loss = truth == t.value ? 0.0 : 1.0;
-      } else if (property_type(t.entry_id) == PropertyType::kText) {
-        loss = text_distance(t.entry_id, truth, t.value);
-      } else {
-        const double d = truth.continuous() - t.value.continuous();
-        const double scale = CacheScale(cache, t.entry_id);
-        loss = options.base.continuous_model == ContinuousModel::kMedian
-                   ? std::abs(d) / scale
-                   : d * d / scale;
+    const TruthView view{&truths, nullptr, nullptr};
+    MapReduceSpec<size_t, uint64_t, LossAndCount, std::pair<uint64_t, LossAndCount>> spec;
+    spec.map = [&](const size_t& shard,
+                   std::vector<std::pair<uint64_t, LossAndCount>>* out) {
+      const SolverWorkspace::Shard slot = workspace.shard(shard);
+      LossMatrixShard(data, index, view, stats, options.base.continuous_model,
+                      ShardRange(num_entries, num_shards, shard), m_props, slot.loss,
+                      slot.count, cells, *slot.scratch);
+      for (size_t cell = 0; cell < cells; ++cell) {
+        if (slot.count[cell] > 0) {
+          out->emplace_back(cell, LossAndCount{slot.loss[cell], slot.count[cell]});
+        }
       }
-      out->emplace_back(t.source_id * m_props + t.entry_id % m_props,
-                        std::make_pair(loss, uint64_t{1}));
     };
-    spec.combine = [](const uint64_t&, std::vector<ErrAndCount>&& values) {
-      ErrAndCount total{0.0, 0};
-      for (const ErrAndCount& v : values) {
-        total.first += v.first;
-        total.second += v.second;
+    spec.reduce = [](const uint64_t& cell, std::vector<LossAndCount>&& partials,
+                     std::vector<std::pair<uint64_t, LossAndCount>>* out) {
+      LossAndCount total{0.0, 0};
+      for (const LossAndCount& partial : partials) {
+        total.first += partial.first;
+        total.second += partial.second;
       }
-      return total;
+      out->emplace_back(cell, total);
     };
-    spec.reduce = [](const uint64_t& key, std::vector<ErrAndCount>&& values,
-                     std::vector<std::pair<uint64_t, ErrAndCount>>* out) {
-      ErrAndCount total{0.0, 0};
-      for (const ErrAndCount& v : values) {
-        total.first += v.first;
-        total.second += v.second;
-      }
-      out->emplace_back(key, total);
-    };
-    auto job = RunMapReduce(tuples, spec, options.mr);
+    auto job = RunMapReduce(shards, spec, options.mr);
     if (!job.ok()) return job.status();
     result.job_stats.push_back(job->stats);
 
-    // Wrapper: normalize per observation count and per property, then
-    // convert deviations to weights — mirroring serial CRH exactly.
-    std::vector<std::vector<double>> loss(k_sources, std::vector<double>(m_props, 0.0));
-    for (const auto& [key, err_count] : job->records) {
-      const size_t k = static_cast<size_t>(key / m_props);
-      const size_t m = static_cast<size_t>(key % m_props);
-      double value = err_count.first;
-      if (options.base.normalize_by_observation_count && err_count.second > 0) {
-        value /= static_cast<double>(err_count.second);
-      }
-      loss[k][m] = value;
+    std::vector<double> loss(cells, 0.0);
+    std::vector<size_t> count(cells, 0);
+    for (const auto& [cell, total] : job->records) {
+      loss[cell] = total.first;
+      count[cell] = total.second;
     }
-    if (options.base.property_normalization != PropertyLossNormalization::kNone) {
-      for (size_t m = 0; m < m_props; ++m) {
-        double norm = 0.0;
-        for (size_t k = 0; k < k_sources; ++k) {
-          if (options.base.property_normalization == PropertyLossNormalization::kSum) {
-            norm += loss[k][m];
-          } else {
-            norm = std::max(norm, loss[k][m]);
-          }
-        }
-        if (norm > 0) {
-          for (size_t k = 0; k < k_sources; ++k) loss[k][m] /= norm;
-        }
-      }
-    }
-    std::vector<double> totals(k_sources, 0.0);
-    for (size_t k = 0; k < k_sources; ++k) {
-      for (size_t m = 0; m < m_props; ++m) totals[k] += loss[k][m];
-    }
-    return ComputeSourceWeights(totals, options.base.weight_scheme);
+    NormalizeLossMatrix(options.base, k_sources, m_props, count.data(), loss.data());
+    return SourceLossTotals(loss.data(), k_sources, m_props);
   };
 
   IterationObserver* observer = options.base.observer;
@@ -247,88 +126,52 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
   InvariantVerifier default_verifier;
   if (observer == nullptr) observer = &default_verifier;
 #endif
-  // Objective evaluation and the dense truth table are only materialized
-  // when somebody is watching; the plain run never pays for them.
-  EntryStats observer_stats;
-  if (observer != nullptr) observer_stats = ComputeEntryStats(data);
-  // Materializes cache.truths as a dense table by *probing* the map in
-  // entry order — never iterating it — so the table fill order (and with it
-  // any downstream serialization) is independent of hash-bucket layout
-  // (ast_lint, unordered-iteration).
-  const auto cache_truth_table = [&]() {
-    ValueTable table(data.num_objects(), data.num_properties());
-    for (size_t i = 0; i < data.num_objects(); ++i) {
-      for (uint64_t m = 0; m < m_props; ++m) {
-        const auto it = cache.truths.find(static_cast<uint64_t>(i) * m_props + m);
-        if (it != cache.truths.end()) {
-          table.Set(i, static_cast<size_t>(m), it->second);
-        }
-      }
-    }
-    return table;
-  };
 
   // --- Wrapper: iterate truth + weight jobs until the weights settle.
-  ValueTable prev_truth_table;  // observer-only: the previous iteration's truths
+  ValueTable prev_truths;  // observer-only: the previous iteration's truths
   bool have_prev_truths = false;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     CRH_RETURN_NOT_OK(run_truth_job());
-    // Descent certificates. The truth job minimized the weighted loss at the
-    // pre-update weights (still in cache.weights here), so its certificate
-    // compares the previous and new truth tables at those weights; the first
-    // iteration has no previous truths and emits none. The weight job's
-    // certificate is evaluated on the aggregated deviations it minimized,
-    // recomputed serially — observer-only cost, like the truth table.
-    ValueTable truth_table;
-    double truth_step_before = std::numeric_limits<double>::quiet_NaN();
-    double truth_step_after = std::numeric_limits<double>::quiet_NaN();
-    double weight_step_before = std::numeric_limits<double>::quiet_NaN();
-    double weight_step_after = std::numeric_limits<double>::quiet_NaN();
-    std::vector<double> cert_totals;
-    if (observer != nullptr) {
-      truth_table = cache_truth_table();
-      if (have_prev_truths) {
-        truth_step_before =
-            CrhObjective(data, prev_truth_table, cache.weights, observer_stats, options.base);
-        truth_step_after =
-            CrhObjective(data, truth_table, cache.weights, observer_stats, options.base);
-      }
-      cert_totals = ComputeSourceDeviations(data, truth_table, observer_stats, options.base);
-      weight_step_before =
-          WeightStepObjective(cache.weights, cert_totals, options.base.weight_scheme);
-    }
-    auto weights = run_weight_job();
-    if (!weights.ok()) return weights.status();
-    CRH_VERIFY_OR_RETURN(weights->size() == k_sources,
-                         "weight job returned a wrong-sized weight vector");
+    auto deviations = run_weight_job();
+    if (!deviations.ok()) return deviations.status();
+    auto updated = ComputeSourceWeights(*deviations, options.base.weight_scheme);
+    if (!updated.ok()) return updated.status();
+    CRH_VERIFY_OR_RETURN(updated->size() == k_sources,
+                         "weight scheme returned a wrong-sized weight vector");
+    std::vector<double>& current = weights[0];
     double max_change = 0.0;
     for (size_t k = 0; k < k_sources; ++k) {
-      max_change = std::max(max_change, std::abs((*weights)[k] - cache.weights[k]));
+      max_change = std::max(max_change, std::abs((*updated)[k] - current[k]));
     }
-    cache.weights = std::move(*weights);
     result.iterations = iter + 1;
     if (observer != nullptr) {
-      weight_step_after =
-          WeightStepObjective(cache.weights, cert_totals, options.base.weight_scheme);
+      // Descent certificates. The truth job minimized the weighted loss at
+      // the pre-update weights, so its certificate compares the previous
+      // and new truths at those weights; the first iteration has no
+      // previous truths and emits none. The weight job's certificate is
+      // evaluated on the deviations it aggregated.
       IterationSnapshot snapshot;
+      if (have_prev_truths) {
+        snapshot.truth_step_before =
+            CrhObjective(data, prev_truths, current, stats, options.base);
+        snapshot.truth_step_after = CrhObjective(data, truths, current, stats, options.base);
+      }
+      snapshot.weight_step_before =
+          WeightStepObjective(current, *deviations, options.base.weight_scheme);
+      snapshot.weight_step_after =
+          WeightStepObjective(*updated, *deviations, options.base.weight_scheme);
       snapshot.engine = "parallel";
       snapshot.iteration = iter + 1;
       snapshot.data = &data;
-      snapshot.truths = &truth_table;
-      snapshot.weights = &cache.weights;
+      snapshot.truths = &truths;
+      snapshot.weights = &*updated;
       snapshot.weight_scheme = &options.base.weight_scheme;
-      // The MapReduce formulation has no supervision clamping, so the
-      // domain check runs unsupervised.
-      snapshot.objective =
-          CrhObjective(data, truth_table, cache.weights, observer_stats, options.base);
-      snapshot.weight_step_before = weight_step_before;
-      snapshot.weight_step_after = weight_step_after;
-      snapshot.truth_step_before = truth_step_before;
-      snapshot.truth_step_after = truth_step_after;
+      snapshot.objective = CrhObjective(data, truths, *updated, stats, options.base);
       CRH_RETURN_NOT_OK(observer->OnIteration(snapshot));
-      prev_truth_table = std::move(truth_table);
+      prev_truths = truths;
       have_prev_truths = true;
     }
+    current = std::move(*updated);
     if (max_change < options.convergence_tolerance) {
       result.converged = true;
       break;
@@ -337,14 +180,16 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
   // Final truth job so the reported truths reflect the final weights.
   CRH_RETURN_NOT_OK(run_truth_job());
 
-  result.truths = cache_truth_table();
-  result.source_weights = cache.weights;
+  result.truths = std::move(truths);
+  result.source_weights.assign(k_sources, 0.0);
+  MeanGroupWeights(weights, &result.source_weights);
   result.wall_seconds = watch.ElapsedSeconds();
-  result.simulated_cluster_seconds = options.cost_model.job_setup_seconds;
-  for (const JobStats& stats : result.job_stats) {
-    result.simulated_cluster_seconds += options.cost_model.EstimatePassSeconds(
-        static_cast<double>(stats.input_records), options.mr.num_reducers);
-  }
+  // On the cluster every job reads each claim once, whatever its records.
+  result.simulated_cluster_seconds =
+      options.cost_model.job_setup_seconds +
+      static_cast<double>(result.job_stats.size()) *
+          options.cost_model.EstimatePassSeconds(static_cast<double>(index.num_claims()),
+                                                 options.mr.num_reducers);
   return result;
 }
 

@@ -4,22 +4,28 @@
 /// \file parallel_crh.h
 /// Parallel CRH under the MapReduce model (Section 2.7 of the paper).
 ///
-/// The input is the claim-tuple stream (eID, v, sID). Each iteration runs
-/// two jobs:
+/// Parallel CRH is another way to execute Algorithm 1, not a second
+/// algorithm: every job runs core's own shard kernels (core/crh.h) on
+/// core's fixed entry-shard grid, so its truths and weights equal RunCrh's
+/// bit for bit at the same iteration budget, for any cluster geometry,
+/// thread count or retry pattern. The input records of every job are the
+/// entry shards of one ClaimIndex. Each iteration runs two jobs:
 ///
-///  * Truth job — map groups claims by entry; reduce computes each entry's
-///    truth (Eq 3) reading the shared source-weight "file" (distributed
-///    cache).
-///  * Weight job — map emits each claim's partial error against the shared
-///    truths; a Combiner pre-sums errors mapper-side; reduce aggregates per
-///    source, and the wrapper turns normalized errors into weights (Eq 5).
+///  * Truth job — each map task runs the truth kernel (Eq 3) over its
+///    shard, reading the shared source weights, and writes the shard's
+///    truths into one dense table (a map-only job).
+///  * Weight job — each map task aggregates its shard's claim losses per
+///    (source, property) cell against the shared truths and emits the
+///    non-empty cells; per-shard aggregation in the map replaces the
+///    paper's Combiner. Reduce adds each cell's shard partials in shard
+///    order, and the wrapper applies core's normalizations and turns the
+///    per-source deviations into weights (Eq 5).
 ///
-/// A one-off statistics job computes the per-entry claim dispersion that
-/// the continuous losses normalize by. The wrapper iterates to convergence
-/// (Section 2.7.4). Results are bit-identical to serial RunCrh under the
-/// same options.
+/// Entry scales come from ComputeEntryStats. The wrapper starts from
+/// RunCrh's uniform weights, iterates until the weights settle (Section
+/// 2.7.4) and finishes with one more truth job. Supervision and
+/// fine-grained weights are not supported.
 
-#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -30,24 +36,15 @@
 
 namespace crh {
 
-/// One claim of the tuple stream: entry_id = object * M + property.
-struct ObservationTuple {
-  uint64_t entry_id = 0;
-  uint32_t source_id = 0;
-  Value value;
-};
-
-/// Flattens a dataset into the (eID, v, sID) tuple stream.
-std::vector<ObservationTuple> DatasetToTuples(const Dataset& data);
-
 /// Configuration for RunParallelCrh.
 struct ParallelCrhOptions {
   /// Loss models, weight scheme and normalizations. The soft categorical
-  /// model is not supported in the MapReduce formulation.
+  /// model, supervision and non-global weight granularities are not
+  /// supported in the MapReduce formulation.
   CrhOptions base;
   /// Engine configuration (mappers, reducers, threads).
   MapReduceConfig mr;
-  /// Iteration cap for the wrapper.
+  /// Iteration cap for the wrapper; must be >= 1.
   int max_iterations = 20;
   /// Stop when the max source-weight change falls below this.
   double convergence_tolerance = 1e-9;
@@ -66,7 +63,7 @@ struct ParallelCrhResult {
   /// Measured wall-clock of the whole fusion on this machine.
   double wall_seconds = 0.0;
   /// Simulated cluster time under the calibrated cost model: job setup +
-  /// one pass estimate per executed job.
+  /// one pass over the dataset's claims per executed job.
   double simulated_cluster_seconds = 0.0;
 };
 

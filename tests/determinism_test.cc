@@ -148,9 +148,10 @@ TEST(DeterminismTest, RepeatedCrhRunsAreBitIdentical) {
 }
 
 TEST(DeterminismTest, RepeatedParallelCrhRunsAreBitIdentical) {
-  // The MapReduce path builds its truth cache in std::unordered_map;
-  // results must still be exact across repeats because the cache is only
-  // ever probed by entry id, never iterated.
+  // The MapReduce path runs its jobs on several threads and collects the
+  // weight job's cells from hash-partitioned reducers; results must still
+  // be exact across repeats because every cell lands at its fixed index and
+  // each cell's shard partials are added in shard order.
   const Dataset data = MakeDataset(120, 83);
   ParallelCrhOptions options;
   options.mr.num_threads = 4;

@@ -40,7 +40,8 @@ TEST(RunOnThreadsRaceTest, ManyThreadsSmallTasks) {
         executed.fetch_add(1, std::memory_order_relaxed);
       });
     }
-    internal::RunOnThreads(std::move(tasks), kStressThreads);
+    ThreadPool pool(kStressThreads);
+    internal::RunOnThreads(std::move(tasks), &pool);
     EXPECT_EQ(executed.load(), kTasks);
     for (size_t t = 0; t < kTasks; ++t) EXPECT_EQ(slots[t], 1) << "t=" << t;
   }
@@ -52,18 +53,20 @@ TEST(RunOnThreadsRaceTest, MoreThreadsThanTasks) {
   for (int t = 0; t < 3; ++t) {
     tasks.push_back([&executed]() { ++executed; });
   }
-  internal::RunOnThreads(std::move(tasks), 64);
+  ThreadPool pool(kStressThreads);
+  internal::RunOnThreads(std::move(tasks), &pool);
   EXPECT_EQ(executed.load(), 3);
 }
 
 TEST(RunOnThreadsRaceTest, NoTasksAndSingleThreadFallback) {
-  internal::RunOnThreads({}, kStressThreads);  // must not hang or crash
+  ThreadPool pool(kStressThreads);
+  internal::RunOnThreads({}, &pool);  // must not hang or crash
   std::atomic<int> executed{0};
   std::vector<std::function<void()>> tasks;
   for (int t = 0; t < 8; ++t) {
     tasks.push_back([&executed]() { ++executed; });
   }
-  internal::RunOnThreads(std::move(tasks), 1);
+  internal::RunOnThreads(std::move(tasks), nullptr);  // inline, in order
   EXPECT_EQ(executed.load(), 8);
 }
 
