@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Whole-program dataflow analyzer for CRH's determinism and fault contracts.
+"""Static analyzer for CRH's determinism, error-path, locking and layering
+contracts: the repo's one analyzer, with one baseline, one SARIF log and one
+allow syntax.
 
-Where scripts/lint.py and scripts/ast_lint.py judge one line or one file at
-a time, this analyzer ingests compile_commands.json, builds a program model
-(function table + call graph) across every translation unit, and runs nine
-interprocedural checks. Four guard the repo's bit-identity and
-crash-recovery guarantees:
+It ingests compile_commands.json and builds a program model (function table
++ call graph) over src/ and bench/. The whole-program checks read that
+model; the file-local checks read every first-party C++ file under src/,
+tests/, bench/, examples/ and fuzz/. Fifteen checks; the ones with several
+clauses name each clause, and the self-test corpus pairs a firing and a
+silent case with every clause:
 
   determinism-taint     Values derived from wall-clock time (`::now(`,
                         `time(`, `clock_gettime`), unseeded RNG (`rand(`,
@@ -18,17 +21,31 @@ crash-recovery guarantees:
                         (src/common/determinism.h): a function carrying it
                         vouches that nondeterminism does not escape its
                         return value (e.g. Stopwatch, which only ever
-                        feeds timing reports).
+                        feeds timing reports). Three clauses need no sink:
+                        `determinism`: src/core, src/weights and src/stream
+                        may not call a raw clock syscall, C rand, random
+                        device or getenv at all (they go through the
+                        common/ shims); `nondeterminism`: no file may use
+                        std::rand/srand or seed from time(nullptr);
+                        `unordered-iteration`: no range-for over an
+                        unordered container in src/.
   status-path           Every call to a Status/Result-returning function
                         is propagated, handled, or annotated. Reported
                         per call-path: the finding names a representative
                         entry-point → ... → offender chain so the blast
-                        radius of the dropped error is visible.
+                        radius of the dropped error is visible. Clauses:
+                        `unchecked-status` extends the statement-level drop
+                        to tests/, examples/ and fuzz/; `void-cast-result`
+                        rejects a `(void)` cast of a Result in src/ (a
+                        Status may be voided deliberately, a Result may
+                        not: it discards a value and an error).
   lock-order            Lock-acquisition order is extracted from MutexLock
                         scopes across all TUs into a digraph; cycles are
-                        rejected, as is any call made while a lock is held
-                        into a function that (transitively) evaluates a
-                        fail point or invokes a std::function callback.
+                        rejected, as is any fail-point evaluation or
+                        std::function callback invocation made while a lock
+                        is held — directly (clause `lock-across-callback`)
+                        or through a call into a function that
+                        (transitively) does one.
   failpoint-dominance   Every raw I/O call (fopen/fwrite/rename/ofstream/
                         std::filesystem mutation, socket/accept/recv/send,
                         ...) in src/stream, src/common, src/data and
@@ -38,10 +55,17 @@ crash-recovery guarantees:
                         `*FailPointSites()` registry so fault-sweep tests
                         cover it. Writes to stderr/stdout are exempt
                         (crash reporting must not fault-inject).
+  mutex-no-guard        A crh::Mutex / std::mutex member in src/ must be
+                        named by a CRH_GUARDED_BY / CRH_REQUIRES / ...
+                        annotation in its file, and (clause
+                        `mutex-annotations`) any header in scope declaring
+                        a Mutex/CondVar/std::mutex/std::condition_variable
+                        member must include common/thread_annotations.h and
+                        use a CRH_* annotation: an unannotated lock is
+                        invisible to clang's -Wthread-safety.
 
-two reason about the serving daemon's attack surface (PR 9 turned the
-batch CLI into a socket server, so bytes now arrive from outside the
-process):
+two reason about the serving daemon's attack surface (bytes arrive from
+outside the process):
 
   taint                 Byte-derived values are untrusted at their source
                         — socket reads and protocol/chunk field decodes in
@@ -76,7 +100,7 @@ process):
                         shared_ptr itself, and by-value captures stay
                         legal — they pin or outlive the epoch swap.
 
-plus three architecture-conformance checks (the layer contract lives in
+three architecture-conformance checks (the layer contract lives in
 scripts/arch_layers.json; see docs/DESIGN.md for the diagram):
 
   arch                  Every `#include "module/..."` and cross-TU call
@@ -102,7 +126,20 @@ scripts/arch_layers.json; see docs/DESIGN.md for the diagram):
                         fail-point evaluation — transitively, through
                         every resolvable callee.
 
-Suppress one line with a trailing `// analyzer:allow(<rule>)`. Findings are
+and five line checks over every scanned file:
+
+  include-cc            No `#include` of a `.cc` file: translation units
+                        are compiled exactly once, by CMake.
+  naked-new             No naked `new` / `delete` outside src/common/.
+  raw-assert            No raw `assert(` outside tests/: library code uses
+                        CRH_CHECK / CRH_DCHECK (src/common/check.h).
+  float-equality        No `==` / `!=` against a floating-point literal or
+                        a Value's continuous payload in src/; compare with
+                        a tolerance (bitwise round-trips carry an allow).
+  unchecked-io-write    Every fwrite/fflush/rename/fclose return value is
+                        checked: a full disk surfaces exactly there.
+
+Suppress one line with a trailing `// analyzer:allow(<check>)`. Findings are
 gated against scripts/crh_analyzer_baseline.txt: new findings fail, stale
 entries fail (delete them or run --update-baseline). Exit 0 clean, 1
 findings, 2 tooling error.
@@ -112,12 +149,12 @@ checks; `--graph` prints the observed module graph as Graphviz dot;
 `--graph-svg OUT` renders the layer diagram as a deterministic SVG (CI
 diffs it against docs/architecture.svg to keep the picture honest).
 
-Backends: the tokenizer frontend (shared lexical machinery with
-ast_lint.py) is canonical and runs everywhere; with python3-clang
-installed, a hybrid libclang backend uses the real AST for function
-boundaries and qualified names and feeds the same intra-body extractor.
-Both must pass the embedded multi-TU self-test corpus before a tree run
-counts; a misbehaving libclang degrades loudly to the tokenizer.
+Backends: the tokenizer frontend is canonical and runs everywhere; with
+python3-clang installed, a hybrid libclang backend uses the real AST for
+function boundaries and qualified names and feeds the same intra-body
+extractor (the file-local checks are lexical on both). Both must pass the
+embedded multi-TU self-test corpus before a tree run counts; a misbehaving
+libclang degrades loudly to the tokenizer.
 
 Usage: scripts/crh_analyzer.py [--compile-commands PATH] [--self-test]
          [--backend=auto|libclang|token] [--check=LIST] [--graph]
@@ -128,34 +165,30 @@ Usage: scripts/crh_analyzer.py [--compile-commands PATH] [--self-test]
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import re
 import sys
 import time
 
-SCRIPT_DIR = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(SCRIPT_DIR))
-
-import ast_lint  # noqa: E402  (shared lexical helpers + repo conventions)
-import sarif_util  # noqa: E402
-
-REPO_ROOT = ast_lint.REPO_ROOT
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "scripts" / "crh_analyzer_baseline.txt"
-CXX_SUFFIXES = ast_lint.CXX_SUFFIXES
-strip_comments_and_strings = ast_lint.strip_comments_and_strings
-read_text = ast_lint.read_text
-rel_str = ast_lint.rel_str
+CXX_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 ALLOW_RE = re.compile(r"//\s*analyzer:allow\(([\w-]+)\)")
 
-# Analysis scope: first-party library + the binaries that publish results.
+# Model scope: first-party library + the binaries that publish results.
+# The whole-program checks (call graph, locks, taint) see only these.
 DEFAULT_DIRS = ["src", "bench"]
+# File-local scope: every first-party C++ tree. Files outside the model are
+# read by the line checks and the file-level clauses only.
+SCANNED_DIRS = ["src", "tests", "bench", "examples", "fuzz"]
 # Fail-point dominance applies where durable I/O lives — and in the serving
 # layer, whose socket calls are the daemon's I/O surface.
 IO_SCOPED_DIRS = ("src/stream/", "src/common/", "src/data/", "src/serve/")
 # The lock/fail-point primitives themselves are excluded from the rules
-# they implement (same convention as ast_lint.MUTEX_WRAPPER_FILES).
+# they implement.
 PRIMITIVE_FILES = {
     "src/common/mutex.h",
     "src/common/fault_injection.h",
@@ -188,21 +221,45 @@ RULE_DOCS = {
                     "breaks epoch-snapshot isolation",
     "hot": "CRH_HOT function (transitively) allocates, locks, blocks, "
            "throws, or evaluates a fail point",
+    "mutex-no-guard": "lock member whose protected state carries no "
+                      "thread-safety annotation",
+    "include-cc": "#include of a .cc file",
+    "naked-new": "naked new/delete outside src/common/",
+    "raw-assert": "raw assert() outside tests/",
+    "float-equality": "exact ==/!= on a floating-point value",
+    "unchecked-io-write": "fwrite/fflush/rename/fclose return dropped",
 }
 
 # --- determinism-taint configuration -------------------------------------
+# (pattern, description, banned outright in DETERMINISM_DIRS). A `::now()`
+# or a pointer cast there is legal but tracked to the sinks like any other
+# source; the raw C-level sources are not allowed in those layers at all.
 TAINT_SOURCE_RES = [
-    (re.compile(r"::now\s*\("), "a wall/steady clock read (`::now()`)"),
-    (re.compile(r"(?<![\w.:])time\s*\("), "a `time()` call"),
+    (re.compile(r"::now\s*\("), "a wall/steady clock read (`::now()`)",
+     False),
+    (re.compile(r"(?<![\w.:])time\s*\("), "a `time()` call", True),
     (re.compile(r"\bclock_gettime\s*\(|\bgettimeofday\s*\("),
-     "a raw clock syscall"),
-    (re.compile(r"std::random_device\b"), "std::random_device"),
-    (re.compile(r"(?<![\w.:])s?rand\s*\("), "unseeded C rand()"),
+     "a raw clock syscall", True),
+    (re.compile(r"std::random_device\b"), "std::random_device", True),
+    (re.compile(r"(?<![\w.:])s?rand\s*\("), "unseeded C rand()", True),
     (re.compile(r"(?<![\w.:])getenv\s*\(|std::getenv\b"),
-     "an environment variable read"),
+     "an environment variable read", True),
     (re.compile(r"reinterpret_cast\s*<\s*(?:std::)?u?intptr_t"),
-     "a pointer address cast to integer"),
+     "a pointer address cast to integer", False),
 ]
+# The layers whose bit-identity at every thread count and across
+# kill-and-resume is the product guarantee: they reach clocks, entropy and
+# the environment only through the common/ shims.
+DETERMINISM_DIRS = ("src/core/", "src/weights/", "src/stream/")
+# Anywhere: C rand and time-based seeding (use the seeded crh::Rng).
+UNSEEDED_RE = re.compile(
+    r"std::rand\b|[^\w.]s?rand\s*\(|\btime\s*\(\s*(?:nullptr|NULL|0)\s*\)")
+UNORDERED_DECL_RE = re.compile(
+    r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s*[*&]{0,2}\s*"
+    r"(\w+)\s*[;{=(,)]")
+UNORDERED_ALIAS_RE = re.compile(
+    r"using\s+(\w+)\s*=\s*std::unordered_(?:map|set|multimap|multiset)\b")
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;]*?):([^;)]*)\)")
 EXEMPT_RE = re.compile(r"\bCRH_DETERMINISM_EXEMPT\s*\(")
 
 # Functions whose output is published program state: checkpoint bytes, CSV
@@ -219,12 +276,13 @@ SINK_MAIN_DIRS = ("bench/", "src/tools/")
 # --- status-path configuration -------------------------------------------
 STATUS_DECL_RE = re.compile(
     r"(?:^|[;{}]|\n)\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|virtual\s+)?"
-    r"(?:crh::)?(?:Status|Result<[^;{}=]{1,120}?>)\s+(?:[\w:]+::)?(\w+)\s*\(")
+    r"(?:crh::)?(Status|Result)(?:<[^;{}=]{1,120}?>)?\s+(?:[\w:]+::)?(\w+)\s*\(")
 STATUS_FACTORIES = {
     "OK", "InvalidArgument", "OutOfRange", "NotFound", "AlreadyExists",
     "FailedPrecondition", "IOError", "NotImplemented", "Internal",
 }
 CALL_STMT_RE = re.compile(r"^\s*(?:[\w\]\[]+(?:\.|->))*(\w+)\s*\(.*\)\s*;\s*$")
+VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*((?:[\w:]+(?:\.|->|::))*)(\w+)\s*\(")
 
 # --- lock-order configuration --------------------------------------------
 LOCK_DECL_RE = re.compile(
@@ -235,7 +293,63 @@ MANUAL_UNLOCK_RE = re.compile(r"\b([\w.>-]*\w)\s*\.\s*Unlock\s*\(\s*\)")
 ADOPT_LOCK_RE = re.compile(r"std::adopt_lock")
 FAIL_POINT_CALL_RE = re.compile(
     r"\bCRH_FAIL_POINT\s*\(|\bFailPoints\b[^;\n]*\.\s*Hit(?:Write)?\s*\(")
-FUNCTION_OBJ_RE = ast_lint.FUNCTION_OBJ_RE
+FUNCTION_OBJ_RE = re.compile(
+    r"std::function\s*<[^;]*?>\s*[*&]?\s*[*&]?(\w+)\s*[;,)=]")
+
+# --- mutex-no-guard configuration ------------------------------------------
+LOCK_MEMBER_RE = re.compile(
+    r"^\s*(?:mutable\s+)?(?:crh::)?(Mutex|CondVar|std::mutex|"
+    r"std::condition_variable(?:_any)?)\s+(\w+)\s*;")
+GUARD_USE_RE = re.compile(
+    r"CRH_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES|EXCLUDES|ACQUIRE|RELEASE|"
+    r"RETURN_CAPABILITY|ASSERT_CAPABILITY)\s*\(\s*(?:this\s*->\s*)?[&*]?(\w+)")
+ANNOTATION_USE_RE = re.compile(
+    r"\bCRH_(?:CAPABILITY|SCOPED_CAPABILITY|GUARDED_BY|PT_GUARDED_BY|"
+    r"ACQUIRE|RELEASE|REQUIRES|EXCLUDES|RETURN_CAPABILITY|ASSERT_CAPABILITY)\b")
+# The wrapper owning the raw std::mutex, and the macro header itself.
+MUTEX_EXEMPT_FILES = {"src/common/mutex.h", "src/common/thread_annotations.h"}
+
+# --- line checks -----------------------------------------------------------
+# A floating-point literal (1.0, .5, 2.5e-3, 1.f) or the continuous payload
+# of a Value (`.continuous()` accessor / `continuous_` member), on either
+# side of == or !=. Heuristic by design: it cannot see declared types, but
+# these two shapes cover the double comparisons this codebase performs.
+_FLOAT_OPERAND = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?f?"
+_CONTINUOUS_OPERAND = r"(?:\.|->)continuous\(\)|\bcontinuous_"
+# check -> (applies to repo-relative path, pattern over the stripped line,
+# message). include-cc reads the raw line of a preprocessor directive,
+# since stripping blanks the quoted include path. A pattern that finds
+# nothing in a whole file finds nothing in any of its lines, so each file
+# is searched once before its lines are.
+LINE_CHECKS = {
+    "include-cc": (
+        lambda rel: True,
+        re.compile(r'#\s*include\s+["<][^">]+\.cc[">]'),
+        "do not #include .cc files"),
+    "naked-new": (
+        lambda rel: not rel.startswith("src/common/"),
+        re.compile(r"(?:^|[^\w.])new\s+[A-Za-z_:<(]"
+                   r"|(?:^|[^\w.])delete(?:\s*\[\s*\])?\s+[A-Za-z_*(]"),
+        "naked new/delete outside src/common/; own memory through a "
+        "container or smart pointer"),
+    "raw-assert": (
+        lambda rel: not rel.startswith("tests/"),
+        re.compile(r"(?:^|[^\w])assert\s*\("),
+        "use CRH_CHECK/CRH_DCHECK instead of assert()"),
+    "float-equality": (
+        lambda rel: rel.startswith("src/"),
+        re.compile(rf"(?:{_FLOAT_OPERAND}|{_CONTINUOUS_OPERAND})\s*[!=]=(?!=)"
+                   rf"|[!=]=\s*[-+]?(?:{_FLOAT_OPERAND}|{_CONTINUOUS_OPERAND})"),
+        "exact ==/!= on a double; use NearlyEqual or an explicit tolerance "
+        "(analyzer:allow(float-equality) if intentional)"),
+    "unchecked-io-write": (
+        lambda rel: True,
+        re.compile(r"^[ \t]*(?:\(void\)\s*)?(?:std::)?(?:fwrite|fflush|rename|"
+                   r"fclose)\s*\(.*\)\s*;\s*$", re.M),
+        "fwrite/fflush/rename/fclose return value is dropped; a failed "
+        "write or close is how torn output happens "
+        "(analyzer:allow(unchecked-io-write) if intentional)"),
+}
 
 # --- failpoint-dominance configuration -----------------------------------
 IO_CALL_RE = re.compile(
@@ -248,7 +362,6 @@ IO_CALL_RE = re.compile(
     # absent: they are control-plane plumbing whose failure modes the
     # fail-point registry does not model.
     r"|\b(socket|bind|listen|accept4|accept|recvmsg|recv|sendmsg|send)\s*\(")
-STDERR_ARG_RE = re.compile(r"\(\s*(?:stderr|stdout)\b")
 FAIL_SITE_RE = re.compile(
     r"(?:CRH_FAIL_POINT|\.\s*Hit(?:Write)?)\s*\(\s*\"([^\"]+)\"")
 REGISTRY_FN_RE = re.compile(r"\w*FailPointSites$")
@@ -382,8 +495,8 @@ def last_call_arg(argtext: str) -> str:
 SNAPSHOT_SCOPED_DIRS = ("src/serve/",)
 # A snapshot handle: a shared_ptr<const ServeSnapshot> declaration (local
 # or single-line-signature parameter) or an assignment from `.Current()`.
-# The atomic member `std::atomic<std::shared_ptr<...>> current_` does NOT
-# match: its `>>` never precedes an identifier.
+# Handles are collected per function body, so the publisher's own
+# `current_` member declaration is never one.
 SNAPSHOT_DECL_RE = re.compile(
     r"shared_ptr\s*<\s*(?:const\s+)?(?:crh::)?ServeSnapshot\s*>"
     r"\s*&?\s+(\w+)\b")
@@ -402,6 +515,146 @@ CONTROL_KEYWORDS = {
 CALL_RE = re.compile(r"(?:([\w:]+)\s*(?:\.|->|::))?\b([A-Za-z_]\w*)\s*\(")
 
 PREPROC_RE = re.compile(r"^\s*#")
+
+
+# ---------------------------------------------------------------------------
+# Lexical helpers shared by every check.
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks comments and string/char literal *contents*, preserving every
+    newline so line numbers survive."""
+    out: list[str] = []
+    i, n = 0, len(text)
+    state = "code"  # code | line_comment | block_comment | string | char | raw
+    raw_delim = ""
+    quote = ""
+    while i < n:
+        c = text[i]
+        if state == "code":
+            if c == "/" and i + 1 < n and text[i + 1] == "/":
+                state = "line_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == "/" and i + 1 < n and text[i + 1] == "*":
+                state = "block_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == 'R' and text[i:i + 2] == 'R"':
+                m = re.match(r'R"([^()\\ ]{0,16})\(', text[i:])
+                if m:
+                    raw_delim = ")" + m.group(1) + '"'
+                    state = "raw"
+                    out.append(" " * len(m.group(0)))
+                    i += len(m.group(0))
+                    continue
+            if c in "\"'":
+                quote = c
+                state = "string" if c == '"' else "char"
+                out.append(c)
+                i += 1
+                continue
+            out.append(c)
+            i += 1
+        elif state == "line_comment":
+            if c == "\n":
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+            i += 1
+        elif state == "block_comment":
+            if c == "*" and i + 1 < n and text[i + 1] == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+            else:
+                out.append(c if c == "\n" else " ")
+                i += 1
+        elif state in ("string", "char"):
+            if c == "\\" and i + 1 < n:
+                out.append("  ")
+                i += 2
+                continue
+            if c == quote:
+                state = "code"
+                out.append(c)
+            else:
+                out.append(c if c == "\n" else " ")
+            i += 1
+        else:  # raw string
+            if text.startswith(raw_delim, i):
+                state = "code"
+                out.append(" " * len(raw_delim))
+                i += len(raw_delim)
+            else:
+                out.append(c if c == "\n" else " ")
+                i += 1
+    return "".join(out)
+
+
+def read_text(path: pathlib.Path) -> str:
+    return path.read_text(encoding="utf-8", errors="replace")
+
+
+def rel_str(path: pathlib.Path, root: pathlib.Path = REPO_ROOT) -> str:
+    p = path.resolve()
+    return p.relative_to(root).as_posix() if p.is_relative_to(root) \
+        else str(path)
+
+
+def unordered_range_expr(expr: str, unordered_names: set[str]) -> bool:
+    """True when the range expression of a range-for names (or derefs to) a
+    variable/member known to have an unordered container type. Trailing
+    call parens (`obj.items()`) hide the type lexically; only bare names
+    and member chains are classified."""
+    m = re.search(r"([A-Za-z_]\w*)\s*$", expr.strip())
+    return bool(m) and m.group(1) in unordered_names
+
+
+class SourceFile:
+    """One scanned file: raw and comment/string-stripped lines plus the
+    per-file symbol tables several checks share."""
+
+    def __init__(self, path: pathlib.Path, root: pathlib.Path):
+        self.rel = rel_str(path, root)
+        self.text = read_text(path)
+        self.raw_lines = self.text.splitlines()
+        self.clean = strip_comments_and_strings(self.text)
+        self.clean_lines = self.clean.splitlines()
+        self.unordered_names: set[str] = set()
+        self.function_objs: set[str] = set()
+        aliases: set[str] = set()
+        for line in self.clean_lines:
+            self.unordered_names.update(
+                m.group(1) for m in UNORDERED_DECL_RE.finditer(line))
+            aliases.update(m.group(1) for m in UNORDERED_ALIAS_RE.finditer(line))
+            self.function_objs.update(
+                m.group(1) for m in FUNCTION_OBJ_RE.finditer(line))
+        if aliases:
+            alias_decl = re.compile(
+                r"\b(?:%s)\s*(?:<[^;]*?>)?\s+(\w+)\s*[;{=(]"
+                % "|".join(sorted(aliases)))
+            for line in self.clean_lines:
+                self.unordered_names.update(
+                    m.group(1) for m in alias_decl.finditer(line))
+
+    def raw(self, lineno: int) -> str:
+        return self.raw_lines[lineno - 1] \
+            if 0 < lineno <= len(self.raw_lines) else ""
+
+    def allowed(self, lineno: int) -> set[str]:
+        """Checks suppressed on this line by `// analyzer:allow(<check>)`."""
+        return set(ALLOW_RE.findall(self.raw(lineno)))
+
+    def includes(self) -> list[tuple[int, str]]:
+        """(line, target) of every quoted #include outside a comment."""
+        return [(lineno, m.group(1))
+                for lineno, line in enumerate(self.clean_lines, 1)
+                if PREPROC_RE.match(line)
+                and (m := INCLUDE_RE.match(self.raw(lineno)))]
 
 
 class Finding:
@@ -441,7 +694,10 @@ class FunctionModel:
         # [(line, acquired_lock_id, tuple(held_before))]
         self.lock_acquires: list[tuple[int, str, tuple]] = []
         self.callback_invokes: list[tuple[int, str, frozenset]] = []
+        # Fail points evaluated while a lock is held: (line, held locks).
+        self.held_failpoints: list[tuple[int, frozenset]] = []
         self.status_drops: list[tuple[int, str]] = []  # (line, callee)
+        self.void_casts: list[tuple[int, str]] = []  # (line, callee)
         self.is_registry = bool(REGISTRY_FN_RE.match(name))
         self.registered_sites: set[str] = set()
         self.hot = False  # carries the CRH_HOT annotation
@@ -679,35 +935,32 @@ def lock_id(name: str, qual_name: str, rel: str) -> str:
     return f"{qual_name}::{base}"
 
 
-def extract_body(fn: FunctionModel, clean_lines: list[str],
-                 raw_lines: list[str], unordered_names: set[str],
-                 function_objs: set[str]) -> None:
+def extract_body(fn: FunctionModel, src: SourceFile) -> None:
     """Populates a FunctionModel's event lists from its line span. Shared
     by the tokenizer and libclang backends (the AST supplies boundaries,
     this supplies flow-sensitive intra-body facts)."""
+    clean_lines = src.clean_lines
     depth = 0
     scoped_locks: list[tuple[int, str]] = []
     manual_locks: set[str] = set()
-    local_function_objs = set(function_objs)
+    local_function_objs = set(src.function_objs)
     for lineno in range(fn.start_line, fn.end_line + 1):
         if lineno - 1 >= len(clean_lines):
             break
         line = clean_lines[lineno - 1]
-        raw_line = raw_lines[lineno - 1] if lineno - 1 < len(raw_lines) else ""
-        allow = set(ALLOW_RE.findall(raw_line))
-        allow |= {"status-path"} if "unchecked-status" in \
-            ast_lint.ALLOW_RE.findall(raw_line) else set()
+        raw_line = src.raw(lineno)
+        allow = src.allowed(lineno)
 
         for m in FUNCTION_OBJ_RE.finditer(line):
             local_function_objs.add(m.group(1))
 
         # Taint sources.
         if "determinism-taint" not in allow:
-            for pattern, desc in TAINT_SOURCE_RES:
+            for pattern, desc, _ in TAINT_SOURCE_RES:
                 if pattern.search(line):
                     fn.taint_sources.append((lineno, desc))
-            for m in ast_lint.RANGE_FOR_RE.finditer(line):
-                if ast_lint.unordered_range_expr(m.group(2), unordered_names):
+            for m in RANGE_FOR_RE.finditer(line):
+                if unordered_range_expr(m.group(2), src.unordered_names):
                     fn.taint_sources.append(
                         (lineno, "unordered-container iteration order"))
         if EXEMPT_RE.search(line):
@@ -775,7 +1028,8 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                     (lineno,
                      (m.group(1) or m.group(2) or m.group(3) or m.group(4))))
 
-        # Column-ordered event walk: lock acquisitions, releases, calls.
+        # Column-ordered event walk: lock acquisitions, releases, calls and
+        # fail-point evaluations.
         events = []
         if not ADOPT_LOCK_RE.search(line):
             for m in LOCK_DECL_RE.finditer(line):
@@ -788,6 +1042,8 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
         for m in MANUAL_UNLOCK_RE.finditer(line):
             events.append((m.start(), "manual_unlock",
                            lock_id(m.group(1), fn.qual_name, fn.rel)))
+        for m in FAIL_POINT_CALL_RE.finditer(line):
+            events.append((m.start(), "failpoint", None))
         for m in CALL_RE.finditer(line):
             callee = m.group(2)
             if callee in CONTROL_KEYWORDS or callee == "CRH_FAIL_POINT":
@@ -816,6 +1072,9 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                 manual_locks.add(val)
             elif ekind == "manual_unlock":
                 manual_locks.discard(val)
+            elif ekind == "failpoint":
+                if held and not allow_lock:
+                    fn.held_failpoints.append((lineno, held))
             elif ekind == "call":
                 if val in local_function_objs:
                     fn.callback_invokes.append((lineno, val, held))
@@ -824,9 +1083,12 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
 
         # Status drops (statement-level call, value unconsumed). The callee
         # set is resolved later against the whole-program function table.
-        m = CALL_STMT_RE.match(line)
-        if m and "status-path" not in allow:
-            fn.status_drops.append((lineno, m.group(1)))
+        if "status-path" not in allow:
+            m = CALL_STMT_RE.match(line)
+            if m:
+                fn.status_drops.append((lineno, m.group(1)))
+            fn.void_casts += [(lineno, m.group(2))
+                              for m in VOID_CAST_RE.finditer(line)]
 
         for ch in line:
             if ch == "{":
@@ -836,14 +1098,14 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                 scoped_locks = [(d, n) for (d, n) in scoped_locks if d < depth]
 
 
-def scan_snapshot_escapes(fn: FunctionModel, clean_lines: list[str],
-                          raw_lines: list[str]) -> None:
+def scan_snapshot_escapes(fn: FunctionModel, src: SourceFile) -> None:
     """Populates fn.snap_escapes: uses of an epoch-snapshot handle that
     outlive the owning shared_ptr's scope. Pass 1 finds the handles
     (declarations and `.Current()` assignments, signature lines included);
     pass 2 finds escapes: a view-returning function returning through the
     handle, a member assignment storing an address derived from it, or a
     by-reference lambda capture on a line that names it."""
+    clean_lines = src.clean_lines
     handles: set[str] = set()
     for lineno in range(fn.start_line, fn.end_line + 1):
         if lineno - 1 >= len(clean_lines):
@@ -875,8 +1137,7 @@ def scan_snapshot_escapes(fn: FunctionModel, clean_lines: list[str],
         if lineno - 1 >= len(clean_lines):
             break
         line = clean_lines[lineno - 1]
-        raw_line = raw_lines[lineno - 1] if lineno - 1 < len(raw_lines) else ""
-        if "snapshot-lifetime" in ALLOW_RE.findall(raw_line):
+        if "snapshot-lifetime" in src.allowed(lineno):
             continue
         if returns_view and UNTRUSTED_RETURN_RE.match(line) \
                 and deref_re.search(line):
@@ -904,8 +1165,13 @@ class ProgramModel:
         self.functions: list[FunctionModel] = []
         self.by_simple: dict[str, list[FunctionModel]] = {}
         self.by_qual: dict[str, FunctionModel] = {}
-        self.status_functions: set[str] = set()
-        self.files: list[pathlib.Path] = []
+        # "Status" / "Result" -> names of functions declared returning it.
+        self.returning: dict[str, set[str]] = {"Status": set(),
+                                               "Result": set()}
+        # Every scanned file; `modeled` holds the rels of the ones whose
+        # functions are in the model (the rest feed file-local checks).
+        self.sources: list[SourceFile] = []
+        self.modeled: set[str] = set()
         # rel -> [(line, quoted include target)], analyzer:allow filtered.
         self.includes: dict[str, list[tuple[int, str]]] = {}
         # rel -> [(line, name, kind description)] mutable global/static
@@ -921,50 +1187,23 @@ class ProgramModel:
         return self.by_simple.get(callee, [])
 
 
-def model_file(model: ProgramModel, path: pathlib.Path,
-               spans=None) -> None:
-    rel = rel_str(path)
-    raw = read_text(path)
-    raw_lines = raw.splitlines()
-    clean = strip_comments_and_strings(raw)
-    clean_lines = clean.splitlines()
-
-    unordered_names: set[str] = set()
-    aliases: set[str] = set()
-    function_objs: set[str] = set()
-    for line in clean_lines:
-        for m in ast_lint.UNORDERED_DECL_RE.finditer(line):
-            unordered_names.add(m.group(1))
-        for m in ast_lint.UNORDERED_ALIAS_RE.finditer(line):
-            aliases.add(m.group(1))
-        for m in FUNCTION_OBJ_RE.finditer(line):
-            function_objs.add(m.group(1))
-    if aliases:
-        alias_decl = re.compile(
-            r"\b(?:%s)\s*(?:<[^;]*?>)?\s+(\w+)\s*[;{=(]" % "|".join(
-                sorted(aliases)))
-        for line in clean_lines:
-            for m in alias_decl.finditer(line):
-                unordered_names.add(m.group(1))
-
-    includes: list[tuple[int, str]] = []
-    for lineno, raw_line in enumerate(raw_lines, 1):
-        m = INCLUDE_RE.match(raw_line)
-        if m and "arch" not in ALLOW_RE.findall(raw_line):
-            includes.append((lineno, m.group(1)))
-    model.includes[rel] = includes
+def model_file(model: ProgramModel, src: SourceFile, spans=None) -> None:
+    rel = src.rel
+    raw_lines = src.raw_lines
+    clean_lines = src.clean_lines
+    model.includes[rel] = [(lineno, target)
+                           for lineno, target in src.includes()
+                           if "arch" not in src.allowed(lineno)]
 
     decls: list[tuple[int, str, str]] = []
-    for stmt_line, stmt in scan_namespace_statements(clean):
+    for stmt_line, stmt in scan_namespace_statements(src.clean):
         if "(" in stmt or GLOBAL_SKIP_RE.search(stmt):
             continue
         flat = re.sub(r"\{[^{}]*\}", " ", stmt).strip()
         m = GLOBAL_DECL_RE.match(flat)
         if not m:
             continue
-        raw_line = raw_lines[stmt_line - 1] \
-            if stmt_line - 1 < len(raw_lines) else ""
-        if "global-state" in ALLOW_RE.findall(raw_line):
+        if "global-state" in src.allowed(stmt_line):
             continue
         if global_state_exempt(raw_lines, stmt_line):
             continue
@@ -972,16 +1211,15 @@ def model_file(model: ProgramModel, path: pathlib.Path,
                       "namespace-scope mutable variable"))
 
     if spans is None:
-        spans = scan_file_functions(rel, clean)
+        spans = scan_file_functions(rel, src.clean)
     for span in spans:
         qual, name, start, end = span[:4]
         open_line = span[4] if len(span) > 4 else None
         fn = FunctionModel(qual, name, rel, start, end, open_line)
         fn.head = " ".join(
             ln.strip() for ln in clean_lines[fn.start_line - 1:fn.open_line])
-        extract_body(fn, clean_lines, raw_lines, unordered_names,
-                     function_objs)
-        scan_snapshot_escapes(fn, clean_lines, raw_lines)
+        extract_body(fn, src)
+        scan_snapshot_escapes(fn, src)
         model.add(fn)
 
         # Mutable function-local statics (singletons). The enclosing
@@ -999,9 +1237,7 @@ def model_file(model: ProgramModel, path: pathlib.Path,
                             min(fn.end_line, len(clean_lines)) + 1):
             if not STATIC_LOCAL_RE.match(clean_lines[lineno - 1]):
                 continue
-            raw_line = raw_lines[lineno - 1] \
-                if lineno - 1 < len(raw_lines) else ""
-            if "global-state" in ALLOW_RE.findall(raw_line):
+            if "global-state" in src.allowed(lineno):
                 continue
             decls.append((lineno, fn.qual_name,
                           "mutable function-local static in"))
@@ -1009,22 +1245,28 @@ def model_file(model: ProgramModel, path: pathlib.Path,
         model.global_decls[rel] = sorted(decls)
 
 
-def collect_status_functions(files: list[pathlib.Path]) -> set[str]:
-    names: set[str] = set()
-    for path in files:
-        clean = strip_comments_and_strings(read_text(path))
-        for m in STATUS_DECL_RE.finditer(clean):
-            names.add(m.group(1))
-    return names - STATUS_FACTORIES
-
-
-def build_model_token(files: list[pathlib.Path]) -> ProgramModel:
+def assemble_model(files: list[pathlib.Path], extra: list[pathlib.Path],
+                   root: pathlib.Path, spans_of) -> ProgramModel:
+    """Models `files` (function spans from `spans_of(path)`, or the
+    tokenizer's when it returns None) and reads `extra` for the file-local
+    checks only. Relative paths are taken against `root`."""
     model = ProgramModel()
-    model.files = files
     for path in files:
-        model_file(model, path)
-    model.status_functions = collect_status_functions(files)
+        src = SourceFile(path, root)
+        model.sources.append(src)
+        model.modeled.add(src.rel)
+        model_file(model, src, spans_of(path))
+    model.sources += [SourceFile(path, root) for path in extra]
+    for src in model.sources:
+        for m in STATUS_DECL_RE.finditer(src.clean):
+            if m.group(2) not in STATUS_FACTORIES:
+                model.returning[m.group(1)].add(m.group(2))
     return model
+
+
+def build_model_token(files: list[pathlib.Path], extra=(),
+                      root: pathlib.Path = REPO_ROOT) -> ProgramModel:
+    return assemble_model(files, list(extra), root, lambda path: None)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,14 +1276,13 @@ def build_model_token(files: list[pathlib.Path]) -> ProgramModel:
 # tokenizer scanner so coverage never silently shrinks.
 
 
-def build_model_libclang(files: list[pathlib.Path]) -> ProgramModel:
+def build_model_libclang(files: list[pathlib.Path], extra=(),
+                         root: pathlib.Path = REPO_ROOT) -> ProgramModel:
     from clang import cindex  # deferred import; may be absent
 
     index = cindex.Index.create()
     args = ["-std=c++20", "-x", "c++", f"-I{REPO_ROOT / 'src'}",
             "-Wno-everything"]
-    model = ProgramModel()
-    model.files = files
 
     fn_kinds = {cindex.CursorKind.FUNCTION_DECL, cindex.CursorKind.CXX_METHOD,
                 cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR,
@@ -1071,7 +1312,7 @@ def build_model_libclang(files: list[pathlib.Path]) -> ProgramModel:
             else:
                 walk(child, resolved, spans)
 
-    for path in files:
+    def spans_of(path: pathlib.Path):
         resolved = path.resolve()
         tu = index.parse(str(resolved), args=args)
         fatal = [d for d in tu.diagnostics if d.severity >= 4]
@@ -1080,9 +1321,9 @@ def build_model_libclang(files: list[pathlib.Path]) -> ProgramModel:
                 f"libclang could not parse {path}: {fatal[0].spelling}")
         spans: list[tuple[str, str, int, int]] = []
         walk(tu.cursor, resolved, spans)
-        model_file(model, path, spans=spans if spans else None)
-    model.status_functions = collect_status_functions(files)
-    return model
+        return spans or None
+
+    return assemble_model(files, list(extra), root, spans_of)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,6 +1437,38 @@ def check_determinism_taint(model: ProgramModel,
                     "source"))
                 break
 
+    # Clauses that need no sink, judged line by line over every scanned file
+    # (a file whose whole text passes cannot fail on any one line).
+    for src in model.sources:
+        if direct_nondeterminism(src, src.clean) is None:
+            continue
+        for lineno, line in enumerate(src.clean_lines, 1):
+            why = direct_nondeterminism(src, line)
+            if why and "determinism-taint" not in src.allowed(lineno):
+                findings.append(Finding(src.rel, lineno, "determinism-taint",
+                                        why))
+
+
+def direct_nondeterminism(src: SourceFile, line: str) -> str | None:
+    """Why `line` of `src` breaks determinism on its own, sink or not."""
+    if src.rel.startswith(DETERMINISM_DIRS):
+        for pattern, desc, banned in TAINT_SOURCE_RES:
+            if banned and pattern.search(line):
+                return (f"{desc} in a deterministic layer (src/core, "
+                        "src/weights, src/stream); go through "
+                        "common/stopwatch.h, common/rng.h or the "
+                        "fault-injection shims")
+    if UNSEEDED_RE.search(line):
+        return "std::rand/srand or time-based seeding; use the seeded crh::Rng"
+    if src.rel.startswith("src/") and any(
+            unordered_range_expr(m.group(2), src.unordered_names)
+            for m in RANGE_FOR_RE.finditer(line)):
+        return ("range-for over an unordered container: bucket order is "
+                "implementation-defined and leaks into anything this loop "
+                "computes; probe keys in a deterministic order instead (see "
+                "WeightedVote)")
+    return None
+
 
 def trace_taint_chain(model: ProgramModel, start: FunctionModel,
                       tainted: set[int], max_hops: int = 8) -> list[str]:
@@ -1230,9 +1503,10 @@ def taint_leaf_desc(model: ProgramModel, chain: list[str]) -> str:
 
 def check_status_paths(model: ProgramModel,
                        findings: list[Finding]) -> None:
+    returns_error = model.returning["Status"] | model.returning["Result"]
     for fn in model.functions:
         for lineno, callee in fn.status_drops:
-            if callee not in model.status_functions:
+            if callee not in returns_error:
                 continue
             path = call_paths_to(model, fn)
             via = " -> ".join(path + [f"{callee}()"])
@@ -1241,6 +1515,28 @@ def check_status_paths(model: ProgramModel,
                 f"Status/Result from {callee}() is dropped on call-path "
                 f"{via}; propagate with CRH_RETURN_NOT_OK, handle it, or "
                 "annotate with analyzer:allow(status-path)"))
+        if fn.rel.startswith("src/"):
+            for lineno, callee in fn.void_casts:
+                if callee in model.returning["Result"]:
+                    findings.append(Finding(
+                        fn.rel, lineno, "status-path",
+                        f"(void)-cast of Result-returning {callee}(): a "
+                        "Result is a value or an error; handle it"))
+    # Files outside the model (tests/, examples/, fuzz/) have no call graph:
+    # a dropped Status is judged line by line. (A dropped Result there is
+    # left to the compiler: Result is a [[nodiscard]] class template, and
+    # its simple names collide with void methods such as ThreadPool::Run.)
+    for src in model.sources:
+        if src.rel in model.modeled:
+            continue
+        for lineno, line in enumerate(src.clean_lines, 1):
+            m = CALL_STMT_RE.match(line)
+            if m and m.group(1) in model.returning["Status"] \
+                    and "status-path" not in src.allowed(lineno):
+                findings.append(Finding(
+                    src.rel, lineno, "status-path",
+                    f"result of Status-returning {m.group(1)}() is dropped; "
+                    "check it, CRH_RETURN_NOT_OK it, or (void)-cast it"))
 
 
 def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
@@ -1337,6 +1633,12 @@ def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
                     f"{fn.qual_name} invokes callback '{name}' while "
                     f"holding {{{', '.join(sorted(held))}}}; user code must "
                     "never run under a library lock"))
+        for lineno, held in fn.held_failpoints:
+            findings.append(Finding(
+                fn.rel, lineno, "lock-order",
+                f"{fn.qual_name} evaluates a fail point while holding "
+                f"{{{', '.join(sorted(held))}}}; release the lock first "
+                "(reserve-then-write, see CheckpointManager::Save)"))
 
 
 def check_failpoint_dominance(model: ProgramModel,
@@ -1664,16 +1966,64 @@ def check_snapshot_lifetime(model: ProgramModel,
                 f"{fn.qual_name} {what}"))
 
 
+def check_mutex_guard(model: ProgramModel, findings: list[Finding]) -> None:
+    for src in model.sources:
+        if src.rel in MUTEX_EXEMPT_FILES:
+            continue
+        members = [(lineno, m) for lineno, line in enumerate(src.clean_lines, 1)
+                   if (m := LOCK_MEMBER_RE.match(line))]
+        if not members:
+            continue
+        guarded = {m.group(1) for m in GUARD_USE_RE.finditer(src.clean)}
+        annotated = bool(ANNOTATION_USE_RE.search(src.clean)) and any(
+            target == "common/thread_annotations.h"
+            for _, target in src.includes())
+        header = src.rel.endswith((".h", ".hpp"))
+        for lineno, m in members:
+            kind, name = m.groups()
+            if header and not annotated:
+                why = (f"header declares lock member '{name}' but lacks the "
+                       "common/thread_annotations.h include or any CRH_* "
+                       "annotation; annotate what the lock protects so "
+                       "-Wthread-safety can check it")
+            elif src.rel.startswith("src/") and kind in ("Mutex", "std::mutex") \
+                    and name not in guarded:
+                why = (f"mutex member '{name}' has no CRH_GUARDED_BY/"
+                       "CRH_REQUIRES dependents in this file; annotate what "
+                       "it protects (common/thread_annotations.h)")
+            else:
+                continue
+            if "mutex-no-guard" not in src.allowed(lineno):
+                findings.append(Finding(src.rel, lineno, "mutex-no-guard", why))
+
+
+def check_line(name: str, model: ProgramModel,
+               findings: list[Finding]) -> None:
+    applies, pattern, message = LINE_CHECKS[name]
+    for src in model.sources:
+        text = src.text if name == "include-cc" else src.clean
+        if not applies(src.rel) or not pattern.search(text):
+            continue
+        for lineno, line in enumerate(src.clean_lines, 1):
+            if name == "include-cc":
+                # Stripping blanks the quoted path; read the raw directive.
+                line = src.raw(lineno) if PREPROC_RE.match(line) else ""
+            if pattern.search(line) and name not in src.allowed(lineno):
+                findings.append(Finding(src.rel, lineno, name, message))
+
+
 ALL_CHECKS = {
     "determinism-taint": check_determinism_taint,
     "status-path": check_status_paths,
     "lock-order": check_lock_order,
     "failpoint-dominance": check_failpoint_dominance,
+    "mutex-no-guard": check_mutex_guard,
     "taint": check_untrusted_taint,
     "snapshot-lifetime": check_snapshot_lifetime,
     "arch": check_arch,
     "global-state": check_global_state,
     "hot": check_hot,
+    **{name: functools.partial(check_line, name) for name in LINE_CHECKS},
 }
 
 
@@ -1687,8 +2037,9 @@ def run_checks(model: ProgramModel, checks=None,
         check(model, findings)
         if timings is not None:
             timings[name] = time.monotonic() - t0
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
+    # Clauses of one check may flag the same line; report it once.
+    unique = {(f.path, f.line, f.rule): f for f in reversed(findings)}
+    return sorted(unique.values(), key=lambda f: (f.path, f.line, f.rule))
 
 
 # ---------------------------------------------------------------------------
@@ -1850,8 +2201,56 @@ def iter_sources(paths: list[str],
     return sorted(tu_files)
 
 
+def iter_unmodeled(files: list[pathlib.Path]) -> list[pathlib.Path]:
+    """Files under SCANNED_DIRS outside the model (tests/, examples/,
+    fuzz/, and any src/ or bench/ source missing from compile_commands):
+    the file-local checks still read them."""
+    modeled = {f.resolve() for f in files}
+    return [f.resolve() for d in SCANNED_DIRS if (REPO_ROOT / d).is_dir()
+            for f in sorted((REPO_ROOT / d).rglob("*"))
+            if f.suffix in CXX_SUFFIXES and "build" not in f.parts
+            and f.resolve() not in modeled]
+
+
 # ---------------------------------------------------------------------------
-# Baseline (ast_lint conventions + justification suffixes + staleness).
+# SARIF 2.1.0 output: one run, one result per finding, one rule descriptor
+# per check, so GitHub code scanning files each check as its own rule.
+
+
+def write_sarif(path: str, findings: list[Finding]) -> None:
+    rules = [{"id": rule_id, "shortDescription": {"text": desc},
+              "defaultConfiguration": {"level": "error"}}
+             for rule_id, desc in sorted(RULE_DOCS.items())]
+    results = [{
+        "ruleId": f.rule,
+        "level": "error",
+        "message": {"text": f.message},
+        "locations": [{"physicalLocation": {
+            "artifactLocation": {"uri": f.path, "uriBaseId": "SRCROOT"},
+            "region": {"startLine": max(1, f.line)},
+        }}],
+    } for f in findings]
+    log = {
+        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+        "version": "2.1.0",
+        "runs": [{
+            "tool": {"driver": {
+                "name": "crh_analyzer",
+                "informationUri":
+                    "https://github.com/crh/crh/blob/main/docs/TOOLING.md",
+                "rules": rules,
+            }},
+            "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
+            "results": results,
+        }],
+    }
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Baseline (justification suffixes + staleness).
 
 
 def load_baseline() -> set[str]:
@@ -1994,7 +2393,8 @@ Status WriteGuarded(const std::string& path) {
   return OkStatus();
 }
 std::vector<std::string> SelfTestFailPointSites() {
-  return {"selftest.open_write", "selftest.orphan_reg"};
+  return {"selftest.open_write", "selftest.orphan_reg",
+          "selftest.journal_append"};
 }
 }
 """,
@@ -2306,29 +2706,351 @@ class SafeViews {
 };
 }
 """,
+    # --- determinism-taint, `determinism` clause: a raw getenv in a
+    # deterministic layer fires with no sink in sight (positive); the same
+    # read in src/common, outside those layers and off every sink path,
+    # stays quiet (negative).
+    "src/weights/det_env_pos.cc": """
+namespace crh {
+double DecayFromEnv() {
+  const char* raw = std::getenv("CRH_DECAY");
+  return raw == nullptr ? 0.5 : 0.9;
+}
+}
+""",
+    "src/common/env_neg.cc": """
+namespace crh {
+const char* LogDirectory() { return std::getenv("CRH_LOG_DIR"); }
+}
+""",
+    # --- determinism-taint, `nondeterminism` clause: C rand seeded from the
+    # clock in any scanned tree (positive) vs the seeded crh::Rng.
+    "examples/seed_pos.cc": """
+#include <cstdlib>
+#include <ctime>
+int main() {
+  std::srand(static_cast<unsigned>(std::time(nullptr)));
+  return std::rand() % 2;
+}
+""",
+    "examples/seed_neg.cc": """
+#include "common/rng.h"
+int main() {
+  crh::Rng rng(42);
+  return static_cast<int>(rng.Next() % 2);
+}
+""",
+    # --- determinism-taint, `unordered-iteration` clause: a range-for over
+    # an unordered container in src/ (positive) vs probing its keys in a
+    # caller-given order.
+    "src/losses/unordered_pos.h": """
+#include <unordered_map>
+namespace crh {
+inline int Sum(const std::unordered_map<int, int>& histogram) {
+  int total = 0;
+  for (const auto& [key, count] : histogram) total += key * count;
+  return total;
+}
+}
+""",
+    "src/losses/unordered_neg.h": """
+#include <unordered_map>
+#include <vector>
+namespace crh {
+inline int SumInOrder(const std::vector<int>& keys,
+                      const std::unordered_map<int, int>& histogram) {
+  int total = 0;
+  for (int key : keys) total += histogram.count(key);
+  return total;
+}
+}
+""",
+    # --- status-path, `unchecked-status` clause: a dropped Status in a test
+    # file outside the model (positive) vs an asserted and a voided call.
+    "tests/status_drop_pos_test.cc": """
+#include "common/status.h"
+namespace crh {
+Status FlushJournal(int fd);
+TEST(JournalTest, FlushesOnClose) {
+  FlushJournal(3);
+}
+}
+""",
+    "tests/status_drop_neg_test.cc": """
+#include "common/status.h"
+namespace crh {
+Status FlushJournalChecked(int fd);
+TEST(JournalTest, FlushIsChecked) {
+  ASSERT_TRUE(FlushJournalChecked(3).ok());
+  (void)FlushJournalChecked(4);
+}
+}
+""",
+    # --- status-path, `void-cast-result` clause: a Result voided in src/
+    # (positive) vs a Result that is inspected.
+    "src/data/void_result_pos.h": """
+#include "common/status.h"
+namespace crh {
+Result<int> ParseCount(int raw);
+inline void Oops(int raw) {
+  (void)ParseCount(raw);
+}
+}
+""",
+    "src/data/void_result_neg.h": """
+#include "common/status.h"
+namespace crh {
+Result<int> ParseCountChecked(int raw);
+inline int Fine(int raw) {
+  auto result = ParseCountChecked(raw);
+  return result.ok() ? *result : 0;
+}
+}
+""",
+    # --- lock-order, `lock-across-callback` clause: a std::function and a
+    # fail point run under a held lock (positive) vs after the lock's scope
+    # closes (negative, the reserve-then-write shape).
+    "src/stream/lock_callback_pos.h": """
+#include <functional>
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class CallbackUnderLock {
+ public:
+  void Run(const std::function<void()>& callback) {
+    MutexLock lock(&mu_);
+    ++generation_;
+    callback();
+  }
+ private:
+  Mutex mu_;
+  int generation_ CRH_GUARDED_BY(mu_) = 0;
+};
+}
+""",
+    "src/stream/lock_callback_neg.h": """
+#include <functional>
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class CallbackAfterUnlock {
+ public:
+  void Notify(const std::function<void()>& callback) {
+    {
+      MutexLock lock(&mu_);
+      ++generation_;
+    }
+    callback();
+  }
+ private:
+  Mutex mu_;
+  int generation_ CRH_GUARDED_BY(mu_) = 0;
+};
+}
+""",
+    "src/stream/lock_failpoint_pos.cc": """
+namespace crh {
+class Journal {
+ public:
+  Status Append() {
+    MutexLock lock(&mu_);
+    CRH_FAIL_POINT("selftest.journal_append");
+    ++records_;
+    return OkStatus();
+  }
+  Mutex mu_;
+  int records_ = 0;
+};
+}
+""",
+    "src/stream/lock_failpoint_neg.cc": """
+namespace crh {
+class ReservedJournal {
+ public:
+  Status Append() {
+    {
+      MutexLock lock(&mu_);
+      ++records_;
+    }
+    CRH_FAIL_POINT("selftest.journal_append");
+    return OkStatus();
+  }
+  Mutex mu_;
+  int records_ = 0;
+};
+}
+""",
+    # --- mutex-no-guard: an annotated header whose second mutex guards
+    # nothing (positive) vs every mutex naming its state (negative); the
+    # `mutex-annotations` clause: a header with lock members and no
+    # annotations at all, outside src/ (positive) vs an annotated one.
+    "src/serve/mutex_pos.h": """
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class Registry {
+ private:
+  Mutex mu_;
+  Mutex stats_mu_;
+  int entries_ CRH_GUARDED_BY(mu_) = 0;
+  int lookups_ = 0;
+};
+}
+""",
+    "src/serve/mutex_neg.h": """
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class GuardedCounter {
+ private:
+  Mutex mu_;
+  int counter_ CRH_GUARDED_BY(mu_) = 0;
+};
+}
+""",
+    "bench/lock_header_pos.h": """
+#include <condition_variable>
+#include <mutex>
+struct WorkQueue {
+  std::mutex mu;
+  std::condition_variable ready;
+  int pending = 0;
+};
+""",
+    "tests/lock_header_neg.h": """
+#include <mutex>
+#include "common/thread_annotations.h"
+struct Counter {
+  std::mutex mu;
+  int value CRH_GUARDED_BY(mu) = 0;
+};
+""",
+    # --- line checks: one firing and one quiet file each; the quiet twins
+    # also prove the allow comment, the src/common and tests/ scope
+    # boundaries, and that a commented-out directive is not read.
+    "fuzz/include_cc_pos.cc": """
+#include "data/csv.cc"
+""",
+    "fuzz/include_cc_neg.cc": """
+#include "data/csv.h"
+// #include "data/csv.cc"
+""",
+    "src/data/naked_new_pos.cc": """
+namespace crh {
+Table* MakeTable(size_t rows) { return new Table(rows); }
+}
+""",
+    "src/common/naked_new_neg.cc": """
+namespace crh {
+void* Arena::Grow(size_t bytes) { return new char[bytes]; }
+std::unique_ptr<Table> MakeOwnedTable(size_t rows) {
+  return std::make_unique<Table>(rows);
+}
+}
+""",
+    "src/core/assert_pos.cc": """
+namespace crh {
+void CheckRows(size_t rows) { assert(rows > 0); }
+}
+""",
+    "tests/assert_neg_test.cc": """
+TEST(SanityTest, Arithmetic) {
+  assert(1 + 1 == 2);
+  static_assert(sizeof(int) >= 2);
+}
+""",
+    "src/eval/float_eq_pos.cc": """
+namespace crh {
+bool IsHalf(double score) { return score == 0.5; }
+}
+""",
+    "src/eval/float_eq_neg.cc": """
+namespace crh {
+bool NearHalf(double score) { return std::abs(score - 0.5) < 1e-9; }
+bool SameBits(const Value& a, const Value& b) {
+  return a.continuous() == b.continuous();  // analyzer:allow(float-equality)
+}
+}
+""",
+    "examples/io_write_pos.cc": """
+#include <cstdio>
+int main() {
+  std::FILE* f = std::fopen("out.csv", "w");
+  std::fclose(f);
+  return 0;
+}
+""",
+    "examples/io_write_neg.cc": """
+#include <cstdio>
+int main() {
+  std::FILE* f = std::fopen("out.csv", "w");
+  if (f == nullptr) return 1;
+  std::fflush(stderr);  // analyzer:allow(unchecked-io-write) crash path
+  return std::fclose(f) == 0 ? 0 : 1;
+}
+""",
 }
 
-# rule -> (file that must fire, file that must stay quiet)
+# (check, clause, file that must fire, file that must stay quiet). The
+# clause names the rule of a multi-clause check that the pair exercises.
 SELF_TEST_EXPECTATIONS = [
-    ("determinism-taint", "src/stream/taint_pos.cc", "src/stream/taint_neg.cc"),
-    ("status-path", "src/stream/status_pos.cc", "src/stream/status_neg.cc"),
-    ("lock-order", "src/stream/lock_pos.cc", "src/stream/lock_neg.cc"),
-    ("failpoint-dominance", "src/stream/io_pos.cc", "src/stream/io_neg.cc"),
-    ("failpoint-dominance", "src/stream/io_unregistered.cc",
+    ("determinism-taint", "determinism-taint", "src/stream/taint_pos.cc",
+     "src/stream/taint_neg.cc"),
+    ("determinism-taint", "determinism", "src/weights/det_env_pos.cc",
+     "src/common/env_neg.cc"),
+    ("determinism-taint", "nondeterminism", "examples/seed_pos.cc",
+     "examples/seed_neg.cc"),
+    ("determinism-taint", "unordered-iteration",
+     "src/losses/unordered_pos.h", "src/losses/unordered_neg.h"),
+    ("status-path", "status-path", "src/stream/status_pos.cc",
+     "src/stream/status_neg.cc"),
+    ("status-path", "unchecked-status", "tests/status_drop_pos_test.cc",
+     "tests/status_drop_neg_test.cc"),
+    ("status-path", "void-cast-result", "src/data/void_result_pos.h",
+     "src/data/void_result_neg.h"),
+    ("lock-order", "lock-order", "src/stream/lock_pos.cc",
+     "src/stream/lock_neg.cc"),
+    ("lock-order", "lock-across-callback", "src/stream/lock_callback_pos.h",
+     "src/stream/lock_callback_neg.h"),
+    ("lock-order", "lock-across-callback", "src/stream/lock_failpoint_pos.cc",
+     "src/stream/lock_failpoint_neg.cc"),
+    ("failpoint-dominance", "failpoint-dominance", "src/stream/io_pos.cc",
      "src/stream/io_neg.cc"),
-    ("failpoint-dominance", "src/serve/socket_pos.cc",
+    ("failpoint-dominance", "failpoint-dominance",
+     "src/stream/io_unregistered.cc", "src/stream/io_neg.cc"),
+    ("failpoint-dominance", "failpoint-dominance", "src/serve/socket_pos.cc",
      "src/serve/socket_neg.cc"),
-    ("arch", "src/data/arch_pos.cc", "src/stream/arch_neg.cc"),
-    ("arch", "src/tools/arch_private_pos.cc", "src/stream/arch_neg.cc"),
-    ("global-state", "src/core/global_pos.cc", "src/core/global_neg.cc"),
-    ("hot", "src/core/hot_pos.cc", "src/core/hot_neg.cc"),
-    ("hot", "src/core/hot_arena_pos.cc", "src/core/hot_arena_neg.cc"),
-    ("taint", "src/stream/ut_taint_pos.cc", "src/stream/ut_taint_neg.cc"),
-    ("taint", "src/serve/ut_flow_caller_pos.cc", "src/serve/ut_flow_neg.cc"),
-    ("taint", "src/serve/ut_proto_pos.cc", "src/serve/ut_proto_neg.cc"),
-    ("taint", "src/serve/ut_sanitized_misuse_pos.cc",
+    ("mutex-no-guard", "mutex-no-guard", "src/serve/mutex_pos.h",
+     "src/serve/mutex_neg.h"),
+    ("mutex-no-guard", "mutex-annotations", "bench/lock_header_pos.h",
+     "tests/lock_header_neg.h"),
+    ("arch", "arch", "src/data/arch_pos.cc", "src/stream/arch_neg.cc"),
+    ("arch", "arch", "src/tools/arch_private_pos.cc",
+     "src/stream/arch_neg.cc"),
+    ("global-state", "global-state", "src/core/global_pos.cc",
+     "src/core/global_neg.cc"),
+    ("hot", "hot", "src/core/hot_pos.cc", "src/core/hot_neg.cc"),
+    ("hot", "hot", "src/core/hot_arena_pos.cc", "src/core/hot_arena_neg.cc"),
+    ("taint", "taint", "src/stream/ut_taint_pos.cc",
      "src/stream/ut_taint_neg.cc"),
-    ("snapshot-lifetime", "src/serve/snap_pos.cc", "src/serve/snap_neg.cc"),
+    ("taint", "taint", "src/serve/ut_flow_caller_pos.cc",
+     "src/serve/ut_flow_neg.cc"),
+    ("taint", "taint", "src/serve/ut_proto_pos.cc",
+     "src/serve/ut_proto_neg.cc"),
+    ("taint", "taint", "src/serve/ut_sanitized_misuse_pos.cc",
+     "src/stream/ut_taint_neg.cc"),
+    ("snapshot-lifetime", "snapshot-lifetime", "src/serve/snap_pos.cc",
+     "src/serve/snap_neg.cc"),
+    ("include-cc", "include-cc", "fuzz/include_cc_pos.cc",
+     "fuzz/include_cc_neg.cc"),
+    ("naked-new", "naked-new", "src/data/naked_new_pos.cc",
+     "src/common/naked_new_neg.cc"),
+    ("raw-assert", "raw-assert", "src/core/assert_pos.cc",
+     "tests/assert_neg_test.cc"),
+    ("float-equality", "float-equality", "src/eval/float_eq_pos.cc",
+     "src/eval/float_eq_neg.cc"),
+    ("unchecked-io-write", "unchecked-io-write", "examples/io_write_pos.cc",
+     "examples/io_write_neg.cc"),
 ]
 
 
@@ -2393,48 +3115,33 @@ def run_self_test(build_model, checks=None) -> list[str]:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(code)
             files.append(path)
+        # The corpus is a miniature repo: src/ and bench/ files are
+        # modeled, the rest are read by the file-local checks only.
+        modeled = [f for f in files if rel_str(f, tmpdir.resolve())
+                   .startswith(tuple(d + "/" for d in DEFAULT_DIRS))]
         try:
-            model = build_model(sorted(files))
-            # The corpus lives outside the repo root; rewrite rels so the
-            # src/stream scoping applies.
-            for fn in model.functions:
-                fn.rel = str(pathlib.Path(fn.rel).resolve()
-                             .relative_to(tmpdir.resolve())) \
-                    if pathlib.Path(fn.rel).is_absolute() else fn.rel
-            for table in (model.includes, model.global_decls):
-                for key in list(table):
-                    p = pathlib.Path(key)
-                    if p.is_absolute():
-                        try:
-                            table[str(p.resolve().relative_to(
-                                tmpdir.resolve()))] = table.pop(key)
-                        except ValueError:
-                            pass
+            model = build_model(sorted(modeled),
+                                sorted(set(files) - set(modeled)),
+                                tmpdir.resolve())
             findings = run_checks(model, checks)
         except Exception as exc:  # noqa: broad — any crash fails the gate
             return [f"backend raised {exc!r}"]
         by_file: dict[str, set[str]] = {}
         for f in findings:
             by_file.setdefault(f.path, set()).add(f.rule)
-        for rule, pos, neg in SELF_TEST_EXPECTATIONS:
+        for rule, clause, pos, neg in SELF_TEST_EXPECTATIONS:
             if checks is not None and rule not in checks:
                 continue
             if rule not in by_file.get(pos, set()):
                 failures.append(
-                    f"{rule}: expected a finding in {pos}, got "
+                    f"{rule} ({clause}): expected a finding in {pos}, got "
                     f"{sorted(by_file.get(pos, set())) or 'nothing'}")
             if rule in by_file.get(neg, set()):
                 failures.append(
-                    f"{rule}: unexpected finding in negative case {neg}: "
+                    f"{rule} ({clause}): unexpected finding in negative "
+                    f"case {neg}: "
                     f"{[f.render() for f in findings if f.path == neg]}")
     return failures
-
-
-def fix_selftest_rels(model: ProgramModel, tmpdir: pathlib.Path) -> None:
-    for fn in model.functions:
-        p = pathlib.Path(fn.rel)
-        if p.is_absolute() and p.is_relative_to(tmpdir):
-            fn.rel = str(p.relative_to(tmpdir))
 
 
 # ---------------------------------------------------------------------------
@@ -2532,10 +3239,11 @@ def main(argv: list[str]) -> int:
             print(f"  {f}", file=sys.stderr)
         return 2
     if opts.self_test:
-        n_expect = len([e for e in SELF_TEST_EXPECTATIONS
-                        if checks is None or e[0] in checks])
+        selected = [e for e in SELF_TEST_EXPECTATIONS
+                    if checks is None or e[0] in checks]
         print(f"crh_analyzer: self-test OK ({backend_name} backend, "
-              f"{n_expect} expectations over "
+              f"{len(selected)} expectations covering "
+              f"{len({e[1] for e in selected})} rules over "
               f"{len(SELF_TEST_FILES)} files)")
         return 0
 
@@ -2548,16 +3256,13 @@ def main(argv: list[str]) -> int:
     if not files:
         print("crh_analyzer: no sources to analyze", file=sys.stderr)
         return 2
-    model = build_model(files)
+    model = build_model(files, [] if opts.paths else iter_unmodeled(files))
     timings: dict[str, float] = {}
     findings = run_checks(model, checks, timings)
     elapsed = time.monotonic() - t0
 
     if opts.sarif:
-        sarif_util.write_sarif(
-            opts.sarif, "crh_analyzer",
-            "https://github.com/crh/crh/blob/main/docs/TOOLING.md",
-            findings, RULE_DOCS)
+        write_sarif(opts.sarif, findings)
 
     if opts.update_baseline:
         write_baseline(findings)
@@ -2577,7 +3282,8 @@ def main(argv: list[str]) -> int:
     for f in new:
         print(f.render())
     if opts.stats:
-        print(f"crh_analyzer: {backend_name} backend, {len(files)} files, "
+        print(f"crh_analyzer: {backend_name} backend, {len(files)} files "
+              f"modeled ({len(model.sources)} scanned), "
               f"{len(model.functions)} functions, "
               f"{sum(len(fn.calls) for fn in model.functions)} call edges, "
               f"{elapsed:.2f}s"

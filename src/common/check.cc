@@ -22,7 +22,7 @@ void CheckFailed(const char* file, int line, const char* expr,
   const std::string report = FormatReport(file, line, expr, details);
   std::fputs(report.c_str(), stderr);
   std::fputc('\n', stderr);
-  std::fflush(stderr);  // lint:allow(unchecked-io-write) crash path; abort follows
+  std::fflush(stderr);  // analyzer:allow(unchecked-io-write) crash path; abort follows
   std::abort();
 }
 

@@ -9,8 +9,8 @@ double InverseNormalCdf(double p) {
   if (!(p >= 0.0 && p <= 1.0)) return std::numeric_limits<double>::quiet_NaN();
   // Exact boundary checks on the caller-supplied probability, not on a
   // computed value; the open interval (0, 1) goes through the approximation.
-  if (p == 0.0) return -std::numeric_limits<double>::infinity();  // lint:allow(float-equality)
-  if (p == 1.0) return std::numeric_limits<double>::infinity();  // lint:allow(float-equality)
+  if (p == 0.0) return -std::numeric_limits<double>::infinity();  // analyzer:allow(float-equality)
+  if (p == 1.0) return std::numeric_limits<double>::infinity();  // analyzer:allow(float-equality)
 
   // Acklam's rational approximation with the standard breakpoints.
   static constexpr double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,

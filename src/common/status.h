@@ -40,8 +40,8 @@ const char* StatusCodeToString(StatusCode code);
 /// The class itself is [[nodiscard]]: any call returning a Status whose
 /// result is ignored fails to compile under -Werror (GCC and Clang both
 /// warn on a discarded nodiscard class type). A deliberate drop must be
-/// spelled `(void)` and carries a lint:allow (scripts/lint.py,
-/// unchecked-status).
+/// spelled `(void)`; scripts/crh_analyzer.py's status-path check flags any
+/// other dropped Status and any `(void)` cast of a Result.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -42,7 +42,7 @@ void ThreadPool::HelperLoop(size_t worker) {
     const std::function<void(size_t)>* fn = job_fn_;
     // The job body runs unlocked: holding mu_ across user callables would
     // serialize the pool and deadlock any callable touching the registry
-    // (ast_lint's lock-across-callback rule enforces this shape).
+    // (crh_analyzer's lock-order check enforces this shape).
     mu_.Unlock();
     for (size_t index = worker; index < count; index += num_workers_) (*fn)(index);
     mu_.Lock();

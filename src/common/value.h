@@ -87,7 +87,7 @@ class Value {
         // Value identity is intentionally exact: two claims are the same
         // claim only when bit-equal; tolerant comparison is a loss-function
         // concern, not an identity concern.
-        return continuous_ == other.continuous_;  // lint:allow(float-equality)
+        return continuous_ == other.continuous_;  // analyzer:allow(float-equality)
       case Kind::kCategorical:
         return category_ == other.category_;
     }

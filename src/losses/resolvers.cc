@@ -65,7 +65,7 @@ Value WeightedVote(const std::vector<Value>& values, const std::vector<double>& 
   // index, never iterated. Scanning candidates in first-claim order keeps
   // the winner — and the association order of each candidate's weight sum —
   // a pure function of the claims, independent of hash-bucket layout
-  // (ast_lint, unordered-iteration).
+  // (crh_analyzer, determinism-taint).
   std::unordered_map<Value, size_t, ValueHash> index;
   std::vector<Value> candidates;
   std::vector<double> tally;

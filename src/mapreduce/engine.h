@@ -5,15 +5,18 @@
 /// An in-process MapReduce engine (the substrate standing in for the
 /// paper's Hadoop cluster; Section 2.7).
 ///
-/// The engine executes real map / combine / shuffle / reduce semantics on a
-/// thread pool:
+/// The engine executes real map / shuffle / reduce semantics on a thread
+/// pool:
 ///
 ///  1. the input is cut into splits, one mapper task per split;
-///  2. each mapper applies the map function and, if a combiner is given,
-///     pre-aggregates its local output by key (Section 2.7.3's Combiner);
+///  2. each mapper applies the map function;
 ///  3. intermediate pairs are hash-partitioned across reducers;
 ///  4. each reducer groups its partition by key (keys processed in sorted
 ///     order, like Hadoop's sort phase) and applies the reduce function.
+///
+/// There is no mapper-side combiner: a job that wants Section 2.7.3's
+/// pre-aggregation does it inside its map function (parallel CRH's weight
+/// job sums each entry shard's losses before emitting).
 ///
 /// Wall-clock on this machine is measured, and the calibrated
 /// ClusterCostModel translates the record counts into simulated cluster
@@ -63,8 +66,8 @@ struct JobStats {
   /// Task attempts that were killed and retried (both phases).
   size_t task_retries = 0;
   size_t map_output_records = 0;
-  /// Records after the (optional) combiner; equals map_output_records
-  /// when no combiner is installed.
+  /// Records moved from mappers to reducers. The engine has no combiner,
+  /// so this always equals map_output_records.
   size_t shuffle_records = 0;
   size_t reduce_groups = 0;
   size_t output_records = 0;
@@ -80,14 +83,11 @@ struct MapReduceOutput {
   JobStats stats;
 };
 
-/// The three user functions of a job. K must be hashable and ordered; the
-/// combiner is optional (nullptr) and must be associative/commutative in V.
+/// The two user functions of a job. K must be hashable and ordered.
 template <typename In, typename K, typename V, typename Out>
 struct MapReduceSpec {
   /// Emits zero or more (key, value) pairs per input record.
   std::function<void(const In&, std::vector<std::pair<K, V>>*)> map;
-  /// Folds a key's local values into one; applied mapper-side.
-  std::function<V(const K&, std::vector<V>&&)> combine;
   /// Consumes one key group and appends output records.
   std::function<void(const K&, std::vector<V>&&, std::vector<Out>*)> reduce;
 };
@@ -179,7 +179,7 @@ template <typename In, typename K, typename V, typename Out>
                                       std::max<size_t>(std::max(num_splits, r), 1));
   ThreadPool job_pool(static_cast<int>(job_workers));
 
-  // --- Map (+ combine) phase: each mapper partitions its output by
+  // --- Map phase: each mapper partitions its output by
   // reducer so the shuffle is a simple concatenation.
   // partitioned[mapper][reducer] -> pairs.
   std::vector<std::vector<std::vector<std::pair<K, V>>>> partitioned(
@@ -201,15 +201,6 @@ template <typename In, typename K, typename V, typename Out>
               std::vector<std::pair<K, V>> buffer;
               for (size_t idx = begin; idx < end; ++idx) spec.map(input[idx], &buffer);
               attempt_records = buffer.size();
-              if (spec.combine) {
-                // Mapper-side pre-aggregation by key.
-                std::map<K, std::vector<V>> groups;
-                for (auto& [key, value] : buffer) groups[key].push_back(std::move(value));
-                buffer.clear();
-                for (auto& [key, values] : groups) {
-                  buffer.emplace_back(key, spec.combine(key, std::move(values)));
-                }
-              }
               for (auto& [key, value] : buffer) {
                 const size_t part = std::hash<K>{}(key) % r;
                 attempt_parts[part].emplace_back(std::move(key), std::move(value));

@@ -46,7 +46,7 @@ CrhServer::CrhServer(const Dataset& universe, const IncrementalCrhOptions& optio
 CrhServer::~CrhServer() {
   if (started_) {
     RequestDrain();
-    (void)Wait();  // lint:allow unchecked-status destructor cleanup
+    (void)Wait();
   }
 }
 

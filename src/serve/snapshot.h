@@ -8,19 +8,20 @@
 /// solver iterations. The mechanism is RCU-style epoch publication: after
 /// every applied chunk the ingest thread copies the engine's truth table,
 /// weights and counters into a fresh, immutable ServeSnapshot and swaps it
-/// behind an atomic shared_ptr. Readers load the pointer (lock-free, one
-/// atomic operation), answer every query of a request from that one
-/// object, and drop the reference; an old epoch stays alive exactly until
-/// its last in-flight reader releases it. There is no read lock, no
-/// copy-on-read, and no torn state — a reader either sees epoch N in its
-/// entirety or epoch N+1 in its entirety, never a mix (the tsan-labeled
-/// concurrent-reader test proves it).
+/// into a mutex-guarded shared_ptr. Readers copy the pointer under that
+/// mutex (one reference-count increment, never a solver wait), answer every
+/// query of a request from that one object, and drop the reference; an old
+/// epoch stays alive exactly until its last in-flight reader releases it.
+/// There is no copy-on-read and no torn state — a reader either sees epoch
+/// N in its entirety or epoch N+1 in its entirety, never a mix (the
+/// tsan-labeled concurrent-reader test proves it).
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "data/table.h"
 
 namespace crh {
@@ -53,23 +54,32 @@ struct ServeSnapshot {
 /// Copies the engine's current state into a snapshot stamped `epoch`.
 ServeSnapshot SnapshotFromEngine(const StreamEngine& engine, uint64_t epoch);
 
-/// The atomic publication point between the ingest thread (single writer)
-/// and query threads (any number of readers).
+/// The publication point between the ingest thread (single writer) and
+/// query threads (any number of readers). The lock guards only the pointer:
+/// it is held for one copy or one swap, never across solving or freeing.
 class SnapshotPublisher {
  public:
   /// The latest published epoch; nullptr before the first Publish.
-  std::shared_ptr<const ServeSnapshot> Current() const {
-    return current_.load(std::memory_order_acquire);
+  std::shared_ptr<const ServeSnapshot> Current() const CRH_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return current_;
   }
 
-  /// Atomically replaces the published epoch. The previous snapshot is
-  /// released once its last reader drops it.
-  void Publish(std::shared_ptr<const ServeSnapshot> snapshot) {
-    current_.store(std::move(snapshot), std::memory_order_release);
+  /// Replaces the published epoch. The previous snapshot is released once
+  /// its last reader drops it.
+  void Publish(std::shared_ptr<const ServeSnapshot> snapshot) CRH_EXCLUDES(mu_) {
+    {
+      MutexLock lock(&mu_);
+      current_.swap(snapshot);
+    }
+    // `snapshot` now holds the previous epoch. If this was its last
+    // reference, its truth table (megabytes at large universes) is freed
+    // here, after the unlock, so readers never wait on the free.
   }
 
  private:
-  std::atomic<std::shared_ptr<const ServeSnapshot>> current_;
+  mutable Mutex mu_;
+  std::shared_ptr<const ServeSnapshot> current_ CRH_GUARDED_BY(mu_);
 };
 
 }  // namespace crh

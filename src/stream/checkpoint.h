@@ -121,8 +121,8 @@ struct CheckpointLoadReport {
 /// Thread safety: concurrent Save calls are safe — each reserves a unique
 /// generation number under mu_ and performs all I/O with the lock
 /// released, so writers never serialize on disk speed and no lock is ever
-/// held across a fail-point evaluation (ast_lint's lock-across-callback
-/// rule). Savers racing prune may report a benign IOError for a file the
+/// held across a fail-point evaluation (crh_analyzer's lock-order
+/// check). Savers racing prune may report a benign IOError for a file the
 /// other already removed; learned state is never lost.
 class CheckpointManager {
  public:

@@ -38,7 +38,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Open(
   // The constructor is private so Open is the only way in; make_unique
   // cannot reach it, hence the immediately-owned naked new.
   std::unique_ptr<StreamEngine> engine(
-      new StreamEngine(parent, options, resilience));  // lint:allow(naked-new)
+      new StreamEngine(parent, options, resilience));  // analyzer:allow(naked-new)
   if (cumulative) {
     engine->claims_so_far_ =
         ClaimIndex::CreateEmpty(parent.num_objects(), parent.num_properties());

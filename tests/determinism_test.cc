@@ -9,7 +9,7 @@
 /// or different NaN payloads that a written artifact would distinguish.
 ///
 /// This is the regression net behind the unordered-container audit
-/// (scripts/ast_lint.py's unordered-iteration rule): WeightedVote and the
+/// (scripts/crh_analyzer.py's determinism-taint check): WeightedVote and the
 /// MapReduce truth cache use hash maps as lookup-only indexes, and these
 /// tests fail if hash-bucket order ever leaks back into results.
 

@@ -137,17 +137,12 @@ TEST(ThreadPoolRaceTest, ResolveNumThreads) {
   EXPECT_GE(ThreadPool::ResolveNumThreads(0), 1u);  // hardware concurrency
 }
 
-/// Word-count-shaped job: the canonical exercise of map + combine +
-/// shuffle + reduce with every stage contended.
+/// Word-count-shaped job: the canonical exercise of map + shuffle +
+/// reduce with every stage contended.
 MapReduceSpec<int, int, int64_t, std::pair<int, int64_t>> CountSpec() {
   MapReduceSpec<int, int, int64_t, std::pair<int, int64_t>> spec;
   spec.map = [](const int& record, std::vector<std::pair<int, int64_t>>* out) {
     out->emplace_back(record % 17, 1);
-  };
-  spec.combine = [](const int&, std::vector<int64_t>&& values) {
-    int64_t sum = 0;
-    for (int64_t v : values) sum += v;
-    return sum;
   };
   spec.reduce = [](const int& key, std::vector<int64_t>&& values,
                    std::vector<std::pair<int, int64_t>>* out) {

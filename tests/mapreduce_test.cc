@@ -33,16 +33,8 @@ MapReduceSpec<std::string, std::string, int, std::pair<std::string, int>> WordCo
 
 std::map<std::string, int> RunWordCount(const std::vector<std::string>& input,
                                         const MapReduceConfig& config,
-                                        bool with_combiner = false, JobStats* stats = nullptr) {
-  auto spec = WordCountSpec();
-  if (with_combiner) {
-    spec.combine = [](const std::string&, std::vector<int>&& counts) {
-      int total = 0;
-      for (int c : counts) total += c;
-      return total;
-    };
-  }
-  auto result = RunMapReduce(input, spec, config);
+                                        JobStats* stats = nullptr) {
+  auto result = RunMapReduce(input, WordCountSpec(), config);
   EXPECT_TRUE(result.ok());
   std::map<std::string, int> out;
   for (const auto& [word, count] : result->records) out[word] = count;
@@ -78,7 +70,7 @@ TEST(MapReduceTest, WordCountCorrect) {
 
 TEST(MapReduceTest, EmptyInputProducesEmptyOutput) {
   JobStats stats;
-  const auto counts = RunWordCount({}, {}, false, &stats);
+  const auto counts = RunWordCount({}, {}, &stats);
   EXPECT_TRUE(counts.empty());
   EXPECT_EQ(stats.input_records, 0u);
   EXPECT_EQ(stats.num_splits, 0u);
@@ -106,37 +98,16 @@ TEST(MapReduceTest, ResultIndependentOfReducerCount) {
   }
 }
 
-TEST(MapReduceTest, CombinerDoesNotChangeResult) {
-  std::vector<std::string> input;
-  for (int i = 0; i < 200; ++i) input.push_back("a b c a");
-  MapReduceConfig config;
-  config.num_mappers = 4;
-  EXPECT_EQ(RunWordCount(input, config, /*with_combiner=*/true),
-            RunWordCount(input, config, /*with_combiner=*/false));
-}
-
-TEST(MapReduceTest, CombinerShrinksShuffle) {
-  std::vector<std::string> input;
-  for (int i = 0; i < 200; ++i) input.push_back("a b c a");
-  MapReduceConfig config;
-  config.num_mappers = 4;
-  JobStats with, without;
-  RunWordCount(input, config, true, &with);
-  RunWordCount(input, config, false, &without);
-  EXPECT_EQ(without.shuffle_records, without.map_output_records);
-  EXPECT_LT(with.shuffle_records, without.shuffle_records);
-  // 4 mappers x 3 distinct words.
-  EXPECT_EQ(with.shuffle_records, 12u);
-}
 
 TEST(MapReduceTest, StatsAreConsistent) {
   std::vector<std::string> input = {"x y", "y z", "z z"};
   JobStats stats;
   MapReduceConfig config;
   config.num_mappers = 2;
-  RunWordCount(input, config, false, &stats);
+  RunWordCount(input, config, &stats);
   EXPECT_EQ(stats.input_records, 3u);
   EXPECT_EQ(stats.map_output_records, 6u);
+  EXPECT_EQ(stats.shuffle_records, stats.map_output_records);  // no combiner
   EXPECT_EQ(stats.reduce_groups, 3u);
   EXPECT_EQ(stats.output_records, 3u);
   EXPECT_EQ(stats.num_splits, 2u);
@@ -148,7 +119,7 @@ TEST(MapReduceTest, RecordsPerSplitControlsSplitCount) {
   MapReduceConfig config;
   config.records_per_split = 30;
   JobStats stats;
-  RunWordCount(input, config, false, &stats);
+  RunWordCount(input, config, &stats);
   EXPECT_EQ(stats.num_splits, 4u);  // 30+30+30+10
 }
 
@@ -227,20 +198,9 @@ TEST(FaultToleranceTest, RetriesProduceIdenticalResults) {
   faulty.fault_injection_rate = 0.3;
   faulty.max_attempts = 10;
   JobStats stats;
-  const auto result = RunWordCount(input, faulty, /*with_combiner=*/false, &stats);
+  const auto result = RunWordCount(input, faulty, &stats);
   EXPECT_EQ(result, reference);
   EXPECT_GT(stats.task_retries, 0u);  // failures actually happened
-}
-
-TEST(FaultToleranceTest, RetriesWithCombinerStillExact) {
-  std::vector<std::string> input;
-  for (int i = 0; i < 200; ++i) input.push_back("a b c a");
-  MapReduceConfig faulty;
-  faulty.num_mappers = 5;
-  faulty.fault_injection_rate = 0.4;
-  faulty.max_attempts = 20;
-  EXPECT_EQ(RunWordCount(input, faulty, /*with_combiner=*/true),
-            RunWordCount(input, {}, /*with_combiner=*/true));
 }
 
 TEST(FaultToleranceTest, ExhaustedAttemptsFailTheJob) {
@@ -264,7 +224,7 @@ TEST(FaultToleranceTest, KilledAttemptsNeverLeakPartialOutput) {
     input.push_back("w" + std::to_string(i % 17) + " x w" + std::to_string(i % 5));
   }
   JobStats clean_stats;
-  const auto reference = RunWordCount(input, {}, false, &clean_stats);
+  const auto reference = RunWordCount(input, {}, &clean_stats);
   for (double rate : {0.3, 0.6}) {
     MapReduceConfig faulty;
     faulty.num_mappers = 7;
@@ -272,7 +232,7 @@ TEST(FaultToleranceTest, KilledAttemptsNeverLeakPartialOutput) {
     faulty.fault_injection_rate = rate;
     faulty.max_attempts = 40;
     JobStats stats;
-    const auto result = RunWordCount(input, faulty, /*with_combiner=*/false, &stats);
+    const auto result = RunWordCount(input, faulty, &stats);
     EXPECT_EQ(result, reference) << "rate " << rate;
     EXPECT_GT(stats.task_retries, 0u) << "rate " << rate;
     // Committed stats must match the fault-free run exactly: a leaked
@@ -298,7 +258,7 @@ TEST(FaultToleranceTest, PreCommitKillSitesAreDeterministic) {
 TEST(FaultToleranceTest, NoFaultsMeansNoRetries) {
   std::vector<std::string> input = {"a b", "c d"};
   JobStats stats;
-  RunWordCount(input, {}, false, &stats);
+  RunWordCount(input, {}, &stats);
   EXPECT_EQ(stats.task_retries, 0u);
 }
 

@@ -15,7 +15,7 @@ crh::Status MightFail(int x) {
 }
 
 void Broken() {
-  MightFail(3);  // lint:allow(unchecked-status) — the violation under test
+  MightFail(3);  // analyzer:allow(status-path) — the violation under test
 }
 
 }  // namespace
