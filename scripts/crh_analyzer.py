@@ -34,8 +34,13 @@ silent case with every clause:
                         per call-path: the finding names a representative
                         entry-point → ... → offender chain so the blast
                         radius of the dropped error is visible. Clauses:
-                        `unchecked-status` extends the statement-level drop
-                        to tests/, examples/ and fuzz/; `void-cast-result`
+                        Callees resolve by the receiver's declared type
+                        or the call's qualifier where the model finds
+                        them, so a void `ThreadPool::Run` never counts as
+                        a dropped `Result<...> Run`. `unchecked-status`
+                        extends the statement-level drop of a Status or
+                        Result to tests/, examples/ and fuzz/;
+                        `void-cast-result`
                         rejects a `(void)` cast of a Result in src/ (a
                         Status may be voided deliberately, a Result may
                         not: it discards a value and an error).
@@ -276,13 +281,23 @@ SINK_MAIN_DIRS = ("bench/", "src/tools/")
 # --- status-path configuration -------------------------------------------
 STATUS_DECL_RE = re.compile(
     r"(?:^|[;{}]|\n)\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|virtual\s+)?"
-    r"(?:crh::)?(Status|Result)(?:<[^;{}=]{1,120}?>)?\s+(?:[\w:]+::)?(\w+)\s*\(")
+    r"(?:crh::)?(Status|Result)(?:<[^;{}=]{1,120}?>)?\s+(?:([\w:]+)::)?(\w+)\s*\(")
 STATUS_FACTORIES = {
     "OK", "InvalidArgument", "OutOfRange", "NotFound", "AlreadyExists",
     "FailedPrecondition", "IOError", "NotImplemented", "Internal",
 }
-CALL_STMT_RE = re.compile(r"^\s*(?:[\w\]\[]+(?:\.|->))*(\w+)\s*\(.*\)\s*;\s*$")
+# A statement that is one call: (receiver chain, e.g. `a.b->`; the callee).
+CALL_STMT_RE = re.compile(
+    r"^\s*((?:[\w\]\[]+(?:\.|->))*)(\w+)\s*\(.*\)\s*;\s*$")
 VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*((?:[\w:]+(?:\.|->|::))*)(\w+)\s*\(")
+# Wrappers whose element type is what a `->` call on them reaches.
+POINTER_LIKE_RE = re.compile(
+    r"^(?:std::)?(?:optional|unique_ptr|shared_ptr|weak_ptr)\s*<\s*(.*)>$")
+# The type ending right before a declared name: `Type `, `ns::T<U>& `.
+DECL_TYPE_RE = re.compile(r"(?<![\w:])([A-Za-z_][\w:]*(?:<[^;{}()]*>)?)"
+                          r"\s*[&*]*\s+$")
+CXX_NON_TYPES = {"return", "else", "case", "delete", "new", "throw", "co_return",
+                 "goto", "using", "typedef", "operator", "sizeof", "const"}
 
 # --- lock-order configuration --------------------------------------------
 LOCK_DECL_RE = re.compile(
@@ -696,8 +711,9 @@ class FunctionModel:
         self.callback_invokes: list[tuple[int, str, frozenset]] = []
         # Fail points evaluated while a lock is held: (line, held locks).
         self.held_failpoints: list[tuple[int, frozenset]] = []
-        self.status_drops: list[tuple[int, str]] = []  # (line, callee)
-        self.void_casts: list[tuple[int, str]] = []  # (line, callee)
+        # (line, receiver chain or qualifier, callee)
+        self.status_drops: list[tuple[int, str, str]] = []
+        self.void_casts: list[tuple[int, str, str]] = []
         self.is_registry = bool(REGISTRY_FN_RE.match(name))
         self.registered_sites: set[str] = set()
         self.hot = False  # carries the CRH_HOT annotation
@@ -1084,10 +1100,10 @@ def extract_body(fn: FunctionModel, src: SourceFile) -> None:
         # Status drops (statement-level call, value unconsumed). The callee
         # set is resolved later against the whole-program function table.
         if "status-path" not in allow:
-            m = CALL_STMT_RE.match(line)
+            m = call_statement(line)
             if m:
-                fn.status_drops.append((lineno, m.group(1)))
-            fn.void_casts += [(lineno, m.group(2))
+                fn.status_drops.append((lineno, m.group(1), m.group(2)))
+            fn.void_casts += [(lineno, m.group(1), m.group(2))
                               for m in VOID_CAST_RE.finditer(line)]
 
         for ch in line:
@@ -1165,9 +1181,18 @@ class ProgramModel:
         self.functions: list[FunctionModel] = []
         self.by_simple: dict[str, list[FunctionModel]] = {}
         self.by_qual: dict[str, FunctionModel] = {}
-        # "Status" / "Result" -> names of functions declared returning it.
+        # "Status" / "Result" -> names of functions declared returning it:
+        # simple names, and qualified ones ("Class::Method" for members,
+        # the bare name for free functions) for calls whose receiver type
+        # or qualifier is known.
         self.returning: dict[str, set[str]] = {"Status": set(),
                                                "Result": set()}
+        self.returning_qual: dict[str, set[str]] = {"Status": set(),
+                                                    "Result": set()}
+        # (rel, variable) -> class name of its declared type, or None.
+        self.var_types: dict[tuple[str, str], str | None] = {}
+        # Memoized unions of the two tables above, keyed by kinds.
+        self.name_sets: dict[tuple, tuple[set[str], set[str]]] = {}
         # Every scanned file; `modeled` holds the rels of the ones whose
         # functions are in the model (the rest feed file-local checks).
         self.sources: list[SourceFile] = []
@@ -1258,10 +1283,132 @@ def assemble_model(files: list[pathlib.Path], extra: list[pathlib.Path],
         model_file(model, src, spans_of(path))
     model.sources += [SourceFile(path, root) for path in extra]
     for src in model.sources:
+        ranges = None
         for m in STATUS_DECL_RE.finditer(src.clean):
-            if m.group(2) not in STATUS_FACTORIES:
-                model.returning[m.group(1)].add(m.group(2))
+            kind, qualifier, name = m.groups()
+            if name in STATUS_FACTORIES:
+                continue
+            model.returning[kind].add(name)
+            if qualifier:
+                cls = class_of_qualifier(qualifier)
+            else:
+                if ranges is None:
+                    ranges = class_ranges(src.clean)
+                inside = [r for r in ranges if r[0] < m.start(3) < r[1]]
+                cls = max(inside)[2] if inside else None
+            model.returning_qual[kind].add(f"{cls}::{name}" if cls else name)
     return model
+
+
+def call_statement(line: str):
+    """CALL_STMT_RE's match when `line` is one whole call statement — the
+    callee's own closing paren followed by `;` — else None. A call whose
+    result is used (`F(x).ok();`) or a continuation line closing an
+    enclosing call (`F(x)));`) drops nothing."""
+    m = CALL_STMT_RE.match(line)
+    if not m:
+        return None
+    depth = 0
+    for i in range(m.end(2), len(line)):
+        if line[i] == "(":
+            depth += 1
+        elif line[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return m if line[i + 1:].strip() == ";" else None
+    return None
+
+
+def class_of_qualifier(qualifier: str) -> str | None:
+    """The class a `Q::name` qualifier names; None for a namespace (this
+    codebase spells classes CamelCase and namespaces lowercase)."""
+    last = qualifier.split("::")[-1]
+    return last if last[:1].isupper() else None
+
+
+def class_ranges(clean: str) -> list[tuple[int, int, str]]:
+    """(body start, body end, class name) of every class/struct body."""
+    text = blank_preprocessor(clean)
+    ranges: list[tuple[int, int, str]] = []
+    stack: list[tuple[int, str | None]] = []
+    head_start = 0
+    for i, c in enumerate(text):
+        if c == "{":
+            kind, name = classify_head(text[head_start:i])
+            stack.append((i, name if kind == "class" else None))
+            head_start = i + 1
+        elif c == "}":
+            if stack:
+                start, name = stack.pop()
+                if name:
+                    ranges.append((start, i, name))
+            head_start = i + 1
+        elif c == ";":
+            head_start = i + 1
+    return ranges
+
+
+def declared_class(model: "ProgramModel", rel: str, var: str) -> str | None:
+    """Class name of `var`'s declared type, found in its file or the
+    file's .h/.cc twin (members are declared in the header); None when no
+    declaration is found or the type is not a class."""
+    key = (rel, var)
+    if key not in model.var_types:
+        stem = rel.rsplit(".", 1)[0]
+        twins = (rel, stem + ".h", stem + ".cc")
+        texts = [src.clean for src in model.sources if src.rel in twins]
+        model.var_types[key] = next(
+            (typ for text in texts for typ in declared_types(text, var)), None)
+    return model.var_types[key]
+
+
+def declared_types(clean: str, var: str):
+    """Yields the class name (None: not a class) of each `Type var`
+    declaration in a file. Each use of `var` is matched first and the type
+    read backwards from it, which keeps the scan linear."""
+    for m in re.finditer(re.escape(var) + r"\b\s*[;,)=({\[]", clean):
+        if m.start() > 0 and (clean[m.start() - 1].isalnum()
+                              or clean[m.start() - 1] == "_"):
+            continue
+        before = DECL_TYPE_RE.search(clean[max(0, m.start() - 160):m.start()])
+        if not before or before.group(1).strip() in CXX_NON_TYPES:
+            continue
+        typ = before.group(1).strip()
+        inner = POINTER_LIKE_RE.match(typ)
+        if inner:
+            typ = inner.group(1).strip()
+        typ = re.sub(r"<.*", "", typ).split("::")[-1]
+        yield typ if typ[:1].isupper() else None
+
+
+def returns_error(model: "ProgramModel", rel: str, enclosing: str | None,
+                  receiver: str, callee: str, kinds=("Status", "Result"),
+                  simple_fallback: bool = False) -> bool:
+    """Whether a call statement reaches a function returning one of
+    `kinds`, resolved by receiver type or qualifier where the model knows
+    them, so a void `ThreadPool::Run` never counts as `Result<..> Run`.
+    `receiver` is the text before the callee (`a.`, `p->`, `Cls::`, or
+    empty); `enclosing` the class of the calling member function. Falls
+    back to the simple name for receivers whose type is not found, and for
+    unqualified calls too when `simple_fallback` (no caller class known)."""
+    key = ("names",) + tuple(kinds)
+    if key not in model.name_sets:
+        model.name_sets[key] = (
+            set().union(*(model.returning_qual[k] for k in kinds)),
+            set().union(*(model.returning[k] for k in kinds)))
+    qual, simple = model.name_sets[key]
+    if callee not in simple:
+        return False
+    if receiver.endswith("::"):
+        cls = class_of_qualifier(receiver[:-2])
+        return (f"{cls}::{callee}" if cls else callee) in qual
+    if receiver:
+        parts = re.split(r"\.|->", receiver.rstrip(".->"))
+        cls = declared_class(model, rel, parts[0]) if len(parts) == 1 else None
+        return f"{cls}::{callee}" in qual if cls else callee in simple
+    if enclosing and f"{enclosing}::{callee}" in qual:
+        return True
+    return callee in (simple if simple_fallback else qual)
 
 
 def build_model_token(files: list[pathlib.Path], extra=(),
@@ -1503,10 +1650,11 @@ def taint_leaf_desc(model: ProgramModel, chain: list[str]) -> str:
 
 def check_status_paths(model: ProgramModel,
                        findings: list[Finding]) -> None:
-    returns_error = model.returning["Status"] | model.returning["Result"]
     for fn in model.functions:
-        for lineno, callee in fn.status_drops:
-            if callee not in returns_error:
+        enclosing = fn.qual_name.split("::")[0] if "::" in fn.qual_name \
+            else None
+        for lineno, receiver, callee in fn.status_drops:
+            if not returns_error(model, fn.rel, enclosing, receiver, callee):
                 continue
             path = call_paths_to(model, fn)
             via = " -> ".join(path + [f"{callee}()"])
@@ -1516,27 +1664,29 @@ def check_status_paths(model: ProgramModel,
                 f"{via}; propagate with CRH_RETURN_NOT_OK, handle it, or "
                 "annotate with analyzer:allow(status-path)"))
         if fn.rel.startswith("src/"):
-            for lineno, callee in fn.void_casts:
-                if callee in model.returning["Result"]:
+            for lineno, receiver, callee in fn.void_casts:
+                if returns_error(model, fn.rel, enclosing, receiver, callee,
+                                 kinds=("Result",)):
                     findings.append(Finding(
                         fn.rel, lineno, "status-path",
                         f"(void)-cast of Result-returning {callee}(): a "
                         "Result is a value or an error; handle it"))
     # Files outside the model (tests/, examples/, fuzz/) have no call graph:
-    # a dropped Status is judged line by line. (A dropped Result there is
-    # left to the compiler: Result is a [[nodiscard]] class template, and
-    # its simple names collide with void methods such as ThreadPool::Run.)
+    # a dropped Status or Result is judged line by line, its callee resolved
+    # by receiver type like everywhere else.
     for src in model.sources:
         if src.rel in model.modeled:
             continue
         for lineno, line in enumerate(src.clean_lines, 1):
-            m = CALL_STMT_RE.match(line)
-            if m and m.group(1) in model.returning["Status"] \
+            m = call_statement(line)
+            if m and returns_error(model, src.rel, None, m.group(1),
+                                   m.group(2), simple_fallback=True) \
                     and "status-path" not in src.allowed(lineno):
                 findings.append(Finding(
                     src.rel, lineno, "status-path",
-                    f"result of Status-returning {m.group(1)}() is dropped; "
-                    "check it, CRH_RETURN_NOT_OK it, or (void)-cast it"))
+                    f"result of Status/Result-returning {m.group(2)}() is "
+                    "dropped; check it, CRH_RETURN_NOT_OK it, or (void)-cast "
+                    "it"))
 
 
 def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
@@ -2329,6 +2479,31 @@ Status CallerPropagates() {
 }
 }
 """,
+    # --- status-path, name collision: `Run` is a Result-returning member
+    # of one class and a void member of another; the call resolves by its
+    # receiver's declared type, so only the Result one fires.
+    "src/stream/status_collision_pos.cc": """
+namespace crh {
+class Job {
+ public:
+  Result<int> Run(int budget);
+};
+void RunsJob(Job& job) {
+  job.Run(3);
+}
+}
+""",
+    "src/stream/status_collision_neg.cc": """
+namespace crh {
+class Crew {
+ public:
+  void Run(int tasks);
+};
+void RunsCrew(Crew& crew) {
+  crew.Run(3);
+}
+}
+""",
     # --- lock-order: AB/BA cycle across two classes (positive) vs a
     # consistent global order (negative).
     "src/stream/lock_pos.cc": """
@@ -2786,6 +2961,28 @@ TEST(JournalTest, FlushIsChecked) {
 }
 }
 """,
+    # --- status-path, `unchecked-status` clause on a Result, and the
+    # receiver-typed resolution that keeps a void `Crew::Run` (collides with
+    # `Job::Run` above) quiet in a test.
+    "tests/result_drop_pos_test.cc": """
+#include "common/status.h"
+namespace crh {
+TEST(JobTest, RunsOnce) {
+  Job job;
+  job.Run(1);
+}
+}
+""",
+    "tests/result_drop_neg_test.cc": """
+#include "common/status.h"
+namespace crh {
+TEST(CrewTest, RunsOnce) {
+  Crew crew;
+  crew.Run(1);
+  ASSERT_TRUE(Job().Run(2).ok());
+}
+}
+""",
     # --- status-path, `void-cast-result` clause: a Result voided in src/
     # (positive) vs a Result that is inspected.
     "src/data/void_result_pos.h": """
@@ -3006,6 +3203,10 @@ SELF_TEST_EXPECTATIONS = [
      "src/stream/status_neg.cc"),
     ("status-path", "unchecked-status", "tests/status_drop_pos_test.cc",
      "tests/status_drop_neg_test.cc"),
+    ("status-path", "status-path", "src/stream/status_collision_pos.cc",
+     "src/stream/status_collision_neg.cc"),
+    ("status-path", "unchecked-status", "tests/result_drop_pos_test.cc",
+     "tests/result_drop_neg_test.cc"),
     ("status-path", "void-cast-result", "src/data/void_result_pos.h",
      "src/data/void_result_neg.h"),
     ("lock-order", "lock-order", "src/stream/lock_pos.cc",

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerates the checkpoint fuzz corpus (fuzz/corpus/checkpoint).
 
-Builds checkpoint images byte-for-byte in the v1 on-disk format of
-stream/checkpoint.h using Python's zlib.crc32, which is bit-compatible
+Builds checkpoint images and journals byte-for-byte in the on-disk formats
+of stream/checkpoint.h using Python's zlib.crc32, which is bit-compatible
 with the library's common/crc32.h — proving external tooling can produce
 and verify checkpoints without linking the C++ code.
 
@@ -15,6 +15,12 @@ Seeds written:
   bad_version        version 2 with a correct CRC (version gate must reject)
   huge_counts        absurd source count with a correct CRC (bounds guard)
   empty              zero bytes
+  journal_valid      header + one record extending valid_driver's image
+  journal_two        header + two records
+  journal_torn_tail  a valid record, then a second one cut short
+  journal_bad_crc    one record whose CRC does not match
+  journal_huge_len   one record whose length header claims 4 GiB
+  journal_other_image a valid record behind another image's header
 
 Usage: scripts/make_checkpoint_corpus.py  (writes into the repo tree)
 """
@@ -75,6 +81,42 @@ def seal(raw: bytes) -> bytes:
     return raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF)
 
 
+JOURNAL_MAGIC = b"CRHJRNL1"
+
+
+def cell(value) -> bytes:
+    if value is None:
+        return b"\x00"
+    if isinstance(value, float):
+        return b"\x01" + struct.pack("<d", value)
+    return b"\x02" + struct.pack("<i", value)
+
+
+def record(chunks: int, weights, accumulated, quarantined, new_chunks,
+           rows) -> bytes:
+    """One framed journal record: u32 length, payload, u32 CRC of both.
+    `new_chunks` is [(chunk start, history row)], `rows` [(row, cells)]."""
+    payload = bytearray()
+    payload += struct.pack("<QQ", chunks, len(weights))
+    for w in weights:
+        payload += struct.pack("<d", w)
+    for a in accumulated:
+        payload += struct.pack("<d", a)
+    for q in quarantined:
+        payload += struct.pack("<Q", q)
+    payload += struct.pack("<Q", len(new_chunks))
+    for start, row in new_chunks:
+        payload += struct.pack("<q", start)
+        for w in row:
+            payload += struct.pack("<d", w)
+    payload += struct.pack("<Q", len(rows))
+    for index, cells in rows:
+        payload += struct.pack("<Q", index)
+        for c in cells:
+            payload += cell(c)
+    return seal(struct.pack("<I", len(payload)) + bytes(payload))
+
+
 def main() -> None:
     CORPUS_DIR.mkdir(parents=True, exist_ok=True)
 
@@ -108,6 +150,22 @@ def main() -> None:
     huge = bytearray(processor[:-4])
     huge[28:36] = b"\xff" * 8  # u64 source count
     seeds["huge_counts"] = seal(bytes(huge))
+
+    # Journals extending the valid_driver image (fuzz/checkpoint_fuzz.cc
+    # replays every input over that image).
+    header = JOURNAL_MAGIC + driver[-4:]
+    first = record(5, [2.0, 0.5, 1.25], [11.0, 19.5, 4.0], [0, 8, 2],
+                   [(9, [2.0, 0.5, 1.25])], [(1, [-7.5, 3])])
+    second = record(6, [2.5, 0.5, 1.0], [9.0, 18.5, 5.0], [0, 8, 2],
+                    [(10, [2.5, 0.5, 1.0])], [(0, [None, 2]), (2, [0.25, None])])
+    seeds["journal_valid"] = header + first
+    seeds["journal_two"] = header + first + second
+    seeds["journal_torn_tail"] = header + first + second[: len(second) // 2]
+    bad_crc = bytearray(first)
+    bad_crc[-1] ^= 0x01
+    seeds["journal_bad_crc"] = header + bytes(bad_crc)
+    seeds["journal_huge_len"] = header + b"\xff\xff\xff\xff" + first[4:]
+    seeds["journal_other_image"] = JOURNAL_MAGIC + processor[-4:] + first
 
     for name, data in seeds.items():
         (CORPUS_DIR / name).write_bytes(data)

@@ -122,14 +122,18 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
   }
 
   // Grow the claim arrays geometrically so a chunk stream costs amortized
-  // O(1) per claim in reallocation, then slide spans right in place.
+  // O(1) per claim in reallocation, then slide spans right in place. Only
+  // when full: doubling on every append would double the capacity per
+  // chunk and exhaust memory a few dozen chunks into a stream.
   const size_t old_total = values_.size();
   const size_t new_total = old_total + batch_total;
-  const size_t grown = std::max(new_total, values_.capacity() * 2);
-  sources_.reserve(grown);
-  values_.reserve(grown);
-  numeric_.reserve(grown);
-  labels_.reserve(grown);
+  if (new_total > values_.capacity()) {
+    const size_t grown = std::max(new_total, values_.capacity() * 2);
+    sources_.reserve(grown);
+    values_.reserve(grown);
+    numeric_.reserve(grown);
+    labels_.reserve(grown);
+  }
   sources_.resize(new_total);
   values_.resize(new_total);
   numeric_.resize(new_total);

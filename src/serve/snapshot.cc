@@ -16,7 +16,7 @@ ServeSnapshot SnapshotFromEngine(const StreamEngine& engine, uint64_t epoch) {
   snapshot.resumed_from_fallback = engine.resumed_from_fallback();
   snapshot.checkpoints_written = engine.checkpoints_written();
   snapshot.last_checkpoint_chunks = engine.last_checkpoint_chunks();
-  snapshot.truths = engine.truths();
+  snapshot.truths = engine.truth_pages();
   snapshot.source_weights = engine.source_weights();
   snapshot.accumulated_deviations = engine.accumulated_deviations();
   snapshot.quarantined_per_source = engine.quarantined_per_source();

@@ -6,9 +6,11 @@
 ///
 /// The serving daemon's contract is that query threads never block on
 /// solver iterations. The mechanism is RCU-style epoch publication: after
-/// every applied chunk the ingest thread copies the engine's truth table,
-/// weights and counters into a fresh, immutable ServeSnapshot and swaps it
-/// into a mutex-guarded shared_ptr. Readers copy the pointer under that
+/// every applied chunk the ingest thread copies the engine's weights and
+/// counters and its copy-on-write truth pages (StreamEngine::truth_pages:
+/// only the pages holding rows the chunk wrote are new, the rest are shared
+/// with the previous epoch) into a fresh, immutable ServeSnapshot and swaps
+/// it into a mutex-guarded shared_ptr. Readers copy the pointer under that
 /// mutex (one reference-count increment, never a solver wait), answer every
 /// query of a request from that one object, and drop the reference; an old
 /// epoch stays alive exactly until its last in-flight reader releases it.
@@ -44,14 +46,16 @@ struct ServeSnapshot {
   uint64_t checkpoints_written = 0;
   /// chunks_solved at the last durable checkpoint (0 = none yet).
   uint64_t last_checkpoint_chunks = 0;
-  /// Fused truths over the universe dataset (N x M).
-  ValueTable truths;
+  /// Fused truths over the universe dataset (N x M), paged: epochs share
+  /// every page no chunk between them wrote.
+  PagedValueTable truths;
   std::vector<double> source_weights;
   std::vector<double> accumulated_deviations;
   std::vector<uint64_t> quarantined_per_source;
 };
 
-/// Copies the engine's current state into a snapshot stamped `epoch`.
+/// Copies the engine's current state into a snapshot stamped `epoch`; the
+/// truth pages are shared, not copied (see StreamEngine::truth_pages).
 ServeSnapshot SnapshotFromEngine(const StreamEngine& engine, uint64_t epoch);
 
 /// The publication point between the ingest thread (single writer) and
@@ -73,8 +77,8 @@ class SnapshotPublisher {
       current_.swap(snapshot);
     }
     // `snapshot` now holds the previous epoch. If this was its last
-    // reference, its truth table (megabytes at large universes) is freed
-    // here, after the unlock, so readers never wait on the free.
+    // reference, its page table and the pages no later epoch shares are
+    // freed here, after the unlock, so readers never wait on the free.
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "stream/checkpoint.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +17,8 @@ namespace crh {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'R', 'H', 'C', 'K', 'P', 'T', '1'};
+constexpr char kJournalMagic[8] = {'C', 'R', 'H', 'J', 'R', 'N', 'L', '1'};
+constexpr size_t kJournalHeaderBytes = sizeof(kJournalMagic) + 4;
 
 // ---------------------------------------------------------------------------
 // Little-endian byte string encoding.
@@ -47,6 +50,30 @@ void AppendF64(std::string* out, double v) {
 void AppendI64(std::string* out, int64_t v) { AppendU64(out, static_cast<uint64_t>(v)); }
 
 void AppendI32(std::string* out, int32_t v) { AppendU32(out, static_cast<uint32_t>(v)); }
+
+/// One tagged truth cell: u8 tag (0 missing, 1 continuous, 2 categorical)
+/// and its payload.
+void AppendCell(std::string* out, const Value& v) {
+  if (v.is_missing()) {
+    AppendU8(out, 0);
+  } else if (v.is_continuous()) {
+    AppendU8(out, 1);
+    AppendF64(out, v.continuous());
+  } else {
+    AppendU8(out, 2);
+    AppendI32(out, v.category());
+  }
+}
+
+uint64_t CellBytes(const Value& v) {
+  return v.is_missing() ? 1 : v.is_continuous() ? 9 : 5;
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
+  return v;
+}
 
 // ---------------------------------------------------------------------------
 // Bounds-checked little-endian decoding. Every read validates the remaining
@@ -115,6 +142,41 @@ class Cursor {
     return Status::OK();
   }
 
+  /// A cell written by AppendCell.
+  Status ReadCell(Value* v) {
+    uint8_t tag = 0;
+    CRH_RETURN_NOT_OK(ReadU8(&tag));
+    if (tag == 0) {
+      *v = Value::Missing();
+    } else if (tag == 1) {
+      double d = 0;
+      CRH_RETURN_NOT_OK(ReadF64(&d));
+      *v = Value::Continuous(d);
+    } else if (tag == 2) {
+      int32_t id = 0;
+      CRH_RETURN_NOT_OK(ReadI32(&id));
+      *v = Value::Categorical(id);
+    } else {
+      return Status::InvalidArgument("checkpoint holds an invalid value tag");
+    }
+    return Status::OK();
+  }
+
+  /// K f64 weights, K f64 accumulators and K u64 quarantine counters, K
+  /// read first.
+  Status ReadProcessorVectors(IncrementalCrhState* state) {
+    uint64_t num_sources = 0;
+    CRH_RETURN_NOT_OK(ReadU64(&num_sources));
+    if (num_sources > remaining() / 24) return Truncated();
+    state->weights.resize(num_sources);
+    state->accumulated.resize(num_sources);
+    state->quarantined_per_source.resize(num_sources);
+    for (double& w : state->weights) CRH_RETURN_NOT_OK(ReadF64(&w));
+    for (double& a : state->accumulated) CRH_RETURN_NOT_OK(ReadF64(&a));
+    for (uint64_t& q : state->quarantined_per_source) CRH_RETURN_NOT_OK(ReadU64(&q));
+    return Status::OK();
+  }
+
  private:
   std::string_view bytes_;
   size_t pos_ = 0;
@@ -156,10 +218,10 @@ class Fingerprinter {
 // ---------------------------------------------------------------------------
 // File naming and fail-point-instrumented I/O.
 
-std::string GenerationFileName(uint64_t generation) {
+std::string GenerationFileName(uint64_t generation, const char* suffix = ".crhckpt") {
   char name[64];
-  std::snprintf(name, sizeof(name), "ckpt-%020llu.crhckpt",
-                static_cast<unsigned long long>(generation));
+  std::snprintf(name, sizeof(name), "ckpt-%020llu%s", static_cast<unsigned long long>(generation),
+                suffix);
   return name;
 }
 
@@ -185,6 +247,44 @@ bool ParseGenerationFileName(const std::string& name, uint64_t* generation) {
   return true;
 }
 
+/// Writes `bytes` to `file` (when `status` is still OK), flushes it and
+/// closes it: the tail every checkpoint write shares. The file is closed
+/// unconditionally (no descriptor leak on an injected failure), and a close
+/// error fails the write, since a buffered write may only surface its error
+/// there. Returns the first failure.
+Status WriteAndClose(std::FILE* file, const std::string& path, std::string_view bytes,
+                     Status status) {
+  if (status.ok()) {
+    // HitWrite (not Hit) so tests can also inject a *silent* short write:
+    // only a prefix reaches the disk yet every return code reports success,
+    // and nothing but the CRC on load can tell the tail was lost — the
+    // torn-tail case resume must survive.
+    const WriteFault fault = FailPoints::Instance().HitWrite("checkpoint.fwrite");
+    status = fault.status;
+    const size_t to_write =
+        fault.truncate_to ? std::min(static_cast<size_t>(*fault.truncate_to), bytes.size())
+                          : bytes.size();
+    if (status.ok() && to_write > 0 &&
+        std::fwrite(bytes.data(), 1, to_write, file) != to_write) {
+      status = Status::IOError("short write to '" + path + "'");
+    }
+  }
+  if (status.ok()) {
+    status = FailPoints::Instance().Hit("checkpoint.fflush");
+    if (status.ok() && std::fflush(file) != 0) {
+      status = Status::IOError("cannot flush '" + path + "'");
+    }
+  }
+  if (file != nullptr) {
+    Status close_status = FailPoints::Instance().Hit("checkpoint.fclose");
+    if (std::fclose(file) != 0 && close_status.ok()) {
+      close_status = Status::IOError("cannot close '" + path + "'");
+    }
+    if (status.ok()) status = close_status;
+  }
+  return status;
+}
+
 /// Writes `bytes` to `tmp_path` and renames it onto `final_path`. Every
 /// return value is checked; on any failure (including injected ones) the
 /// temp file is removed, so a failed save never leaves a torn artifact.
@@ -198,38 +298,7 @@ Status WriteFileAtomic(const std::string& tmp_path, const std::string& final_pat
       status = Status::IOError("cannot open '" + tmp_path + "' for writing");
     }
   }
-  if (status.ok()) {
-    // HitWrite (not Hit) so tests can also inject a *silent* short write:
-    // only a prefix reaches the disk yet every return code reports success,
-    // the rename lands, and nothing but the CRC on load can tell the tail
-    // was lost — the torn-tail case newest-first fallback must survive.
-    const WriteFault fault = FailPoints::Instance().HitWrite("checkpoint.fwrite");
-    status = fault.status;
-    const size_t to_write =
-        fault.truncate_to
-            ? std::min(static_cast<size_t>(*fault.truncate_to), bytes.size())
-            : bytes.size();
-    if (status.ok() && to_write > 0 &&
-        std::fwrite(bytes.data(), 1, to_write, file) != to_write) {
-      status = Status::IOError("short write to '" + tmp_path + "'");
-    }
-  }
-  if (status.ok()) {
-    status = FailPoints::Instance().Hit("checkpoint.fflush");
-    if (status.ok() && std::fflush(file) != 0) {
-      status = Status::IOError("cannot flush '" + tmp_path + "'");
-    }
-  }
-  if (file != nullptr) {
-    // Close unconditionally (no descriptor leak on an injected failure) but
-    // let a close error fail the save: a buffered write may only surface
-    // its error here.
-    Status close_status = FailPoints::Instance().Hit("checkpoint.fclose");
-    if (std::fclose(file) != 0 && close_status.ok()) {
-      close_status = Status::IOError("cannot close '" + tmp_path + "'");
-    }
-    if (status.ok()) status = close_status;
-  }
+  status = WriteAndClose(file, tmp_path, bytes, status);
   if (status.ok()) {
     status = FailPoints::Instance().Hit("checkpoint.rename");
     if (status.ok() && std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
@@ -243,13 +312,18 @@ Status WriteFileAtomic(const std::string& tmp_path, const std::string& final_pat
   return status;
 }
 
+/// Reads a whole file. NotFound when it does not exist (a generation
+/// written before journals, or one whose journal was never started).
 Status ReadFileWithFailPoints(const std::string& path, std::string* out) {
   out->clear();
   Status status = FailPoints::Instance().Hit("checkpoint.open_read");
   std::FILE* file = nullptr;
   if (status.ok()) {
     file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) status = Status::IOError("cannot open '" + path + "' for reading");
+    if (file == nullptr) {
+      status = errno == ENOENT ? Status::NotFound("'" + path + "' does not exist")
+                               : Status::IOError("cannot open '" + path + "' for reading");
+    }
   }
   if (status.ok()) {
     char buffer[1 << 13];
@@ -269,6 +343,15 @@ Status ReadFileWithFailPoints(const std::string& path, std::string* out) {
   }
   if (!status.ok()) out->clear();
   return status;
+}
+
+/// Removes a file that may not exist; only other failures are errors.
+Status RemoveIfPresent(const std::string& path) {
+  CRH_RETURN_NOT_OK(FailPoints::Instance().Hit("checkpoint.remove"));
+  if (std::remove(path.c_str()) != 0 && errno != ENOENT) {
+    return Status::IOError("cannot remove old checkpoint '" + path + "'");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -312,46 +395,77 @@ uint64_t CheckpointFingerprint(const IncrementalCrhOptions& options, size_t num_
   return fp.Finish();
 }
 
-std::string EncodeCheckpoint(const CheckpointState& state) {
-  const size_t num_sources = state.processor.weights.size();
-  CRH_CHECK_EQ(state.processor.accumulated.size(), num_sources);
-  CRH_CHECK_EQ(state.processor.quarantined_per_source.size(), num_sources);
+CheckpointView ViewOf(const CheckpointState& state) {
+  CheckpointView view;
+  view.fingerprint = state.fingerprint;
+  view.processor = &state.processor;
+  if (state.has_driver_state) {
+    view.truths = &state.truths;
+    view.weight_history = &state.weight_history;
+    view.chunk_starts = &state.chunk_starts;
+  }
+  return view;
+}
+
+namespace {
+
+/// The fields image and record share: K, then weights, accumulators and
+/// quarantine counters.
+void AppendProcessorVectors(std::string* out, const IncrementalCrhState& processor) {
+  const size_t num_sources = processor.weights.size();
+  CRH_CHECK_EQ(processor.accumulated.size(), num_sources);
+  CRH_CHECK_EQ(processor.quarantined_per_source.size(), num_sources);
+  AppendU64(out, num_sources);
+  for (double w : processor.weights) AppendF64(out, w);
+  for (double a : processor.accumulated) AppendF64(out, a);
+  for (uint64_t q : processor.quarantined_per_source) AppendU64(out, q);
+}
+
+/// Checks the driver section's invariants: one history row of K weights
+/// and one chunk start per processed chunk.
+void CheckDriverSection(const CheckpointView& view) {
+  CRH_CHECK(view.weight_history != nullptr && view.chunk_starts != nullptr);
+  CRH_CHECK_EQ(view.weight_history->size(), view.processor->chunks_processed);
+  CRH_CHECK_EQ(view.chunk_starts->size(), view.weight_history->size());
+}
+
+}  // namespace
+
+std::string EncodeCheckpoint(const CheckpointView& view) {
   std::string out;
+  out.reserve(EncodedCheckpointBytes(view));
   AppendBytes(&out, kMagic, sizeof(kMagic));
   AppendU32(&out, kCheckpointFormatVersion);
-  AppendU64(&out, state.fingerprint);
-  AppendU64(&out, state.processor.chunks_processed);
-  AppendU64(&out, num_sources);
-  for (double w : state.processor.weights) AppendF64(&out, w);
-  for (double a : state.processor.accumulated) AppendF64(&out, a);
-  for (uint64_t q : state.processor.quarantined_per_source) AppendU64(&out, q);
-  AppendU8(&out, state.has_driver_state ? 1 : 0);
-  if (state.has_driver_state) {
-    CRH_CHECK_EQ(state.weight_history.size(), state.processor.chunks_processed);
-    CRH_CHECK_EQ(state.chunk_starts.size(), state.weight_history.size());
-    AppendU64(&out, state.truths.num_objects());
-    AppendU64(&out, state.truths.num_properties());
-    for (const Value& v : state.truths.cells()) {
-      if (v.is_missing()) {
-        AppendU8(&out, 0);
-      } else if (v.is_continuous()) {
-        AppendU8(&out, 1);
-        AppendF64(&out, v.continuous());
-      } else {
-        AppendU8(&out, 2);
-        AppendI32(&out, v.category());
-      }
-    }
-    AppendU64(&out, state.weight_history.size());
-    for (const std::vector<double>& row : state.weight_history) {
-      CRH_CHECK_EQ(row.size(), num_sources);
+  AppendU64(&out, view.fingerprint);
+  AppendU64(&out, view.processor->chunks_processed);
+  AppendProcessorVectors(&out, *view.processor);
+  AppendU8(&out, view.truths != nullptr ? 1 : 0);
+  if (view.truths != nullptr) {
+    CheckDriverSection(view);
+    AppendU64(&out, view.truths->num_objects());
+    AppendU64(&out, view.truths->num_properties());
+    for (const Value& v : view.truths->cells()) AppendCell(&out, v);
+    AppendU64(&out, view.weight_history->size());
+    for (const std::vector<double>& row : *view.weight_history) {
+      CRH_CHECK_EQ(row.size(), view.processor->weights.size());
       for (double w : row) AppendF64(&out, w);
     }
-    AppendU64(&out, state.chunk_starts.size());
-    for (int64_t start : state.chunk_starts) AppendI64(&out, start);
+    AppendU64(&out, view.chunk_starts->size());
+    for (int64_t start : *view.chunk_starts) AppendI64(&out, start);
   }
   AppendU32(&out, Crc32(out.data(), out.size()));
   return out;
+}
+
+uint64_t EncodedCheckpointBytes(const CheckpointView& view) {
+  const uint64_t num_sources = view.processor->weights.size();
+  uint64_t bytes = sizeof(kMagic) + 4 + 8 + 8 + 8 + 24 * num_sources + 1 + 4;
+  if (view.truths != nullptr) {
+    bytes += 16 + 8 + 8;
+    for (const Value& v : view.truths->cells()) bytes += CellBytes(v);
+    bytes += view.weight_history->size() * (8 * num_sources + 8);
+  }
+  return bytes;
 }
 
 Result<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
@@ -364,11 +478,7 @@ Result<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
   // The trailing CRC covers every preceding byte; a mismatch means a torn
   // or corrupted file and rejects it before any field is trusted.
   const size_t body_size = bytes.size() - 4;
-  uint32_t stored_crc = 0;
-  for (size_t i = 4; i-- > 0;) {
-    stored_crc = (stored_crc << 8) | static_cast<unsigned char>(bytes[body_size + i]);
-  }
-  if (stored_crc != Crc32(bytes.data(), body_size)) {
+  if (LoadU32(bytes.data() + body_size) != Crc32(bytes.data(), body_size)) {
     return Status::InvalidArgument("checkpoint checksum mismatch (torn or corrupted file)");
   }
   Cursor cursor(bytes.substr(0, body_size));
@@ -382,17 +492,8 @@ Result<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
   CheckpointState state;
   CRH_RETURN_NOT_OK(cursor.ReadU64(&state.fingerprint));
   CRH_RETURN_NOT_OK(cursor.ReadU64(&state.processor.chunks_processed));
-  uint64_t num_sources = 0;
-  CRH_RETURN_NOT_OK(cursor.ReadU64(&num_sources));
-  if (num_sources > cursor.remaining() / 24) return Truncated();
-  state.processor.weights.resize(num_sources);
-  state.processor.accumulated.resize(num_sources);
-  state.processor.quarantined_per_source.resize(num_sources);
-  for (double& w : state.processor.weights) CRH_RETURN_NOT_OK(cursor.ReadF64(&w));
-  for (double& a : state.processor.accumulated) CRH_RETURN_NOT_OK(cursor.ReadF64(&a));
-  for (uint64_t& q : state.processor.quarantined_per_source) {
-    CRH_RETURN_NOT_OK(cursor.ReadU64(&q));
-  }
+  CRH_RETURN_NOT_OK(cursor.ReadProcessorVectors(&state.processor));
+  const uint64_t num_sources = state.processor.weights.size();
   uint8_t driver_flag = 0;
   CRH_RETURN_NOT_OK(cursor.ReadU8(&driver_flag));
   if (driver_flag > 1) {
@@ -410,19 +511,9 @@ Result<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
     state.truths = ValueTable(num_objects, num_properties);
     for (size_t i = 0; i < num_objects; ++i) {
       for (size_t m = 0; m < num_properties; ++m) {
-        uint8_t tag = 0;
-        CRH_RETURN_NOT_OK(cursor.ReadU8(&tag));
-        if (tag == 1) {
-          double v = 0;
-          CRH_RETURN_NOT_OK(cursor.ReadF64(&v));
-          state.truths.Set(i, m, Value::Continuous(v));
-        } else if (tag == 2) {
-          int32_t id = 0;
-          CRH_RETURN_NOT_OK(cursor.ReadI32(&id));
-          state.truths.Set(i, m, Value::Categorical(id));
-        } else if (tag != 0) {
-          return Status::InvalidArgument("checkpoint holds an invalid value tag");
-        }
+        Value v;
+        CRH_RETURN_NOT_OK(cursor.ReadCell(&v));
+        state.truths.Set(i, m, v);
       }
     }
     uint64_t rows = 0;
@@ -454,6 +545,160 @@ Result<CheckpointState> DecodeCheckpoint(std::string_view bytes) {
   }
   return state;
 }
+
+// ---------------------------------------------------------------------------
+// Journal records.
+
+std::string EncodeJournalHeader(uint32_t image_crc) {
+  std::string out(kJournalMagic, sizeof(kJournalMagic));
+  AppendU32(&out, image_crc);
+  return out;
+}
+
+std::string EncodeJournalRecord(const CheckpointView& view, uint64_t first_new_chunk,
+                                const std::vector<size_t>* rows) {
+  CRH_CHECK(view.truths != nullptr);
+  CheckDriverSection(view);
+  const uint64_t chunks = view.processor->chunks_processed;
+  CRH_CHECK_LE(first_new_chunk, chunks);
+  const ValueTable& truths = *view.truths;
+  const size_t num_properties = truths.num_properties();
+  const size_t num_rows = rows != nullptr ? rows->size() : truths.num_objects();
+  std::string out;
+  AppendU32(&out, 0);  // payload length, patched below
+  AppendU64(&out, chunks);
+  AppendProcessorVectors(&out, *view.processor);
+  AppendU64(&out, chunks - first_new_chunk);
+  for (uint64_t c = first_new_chunk; c < chunks; ++c) {
+    AppendI64(&out, (*view.chunk_starts)[c]);
+    for (double w : (*view.weight_history)[c]) AppendF64(&out, w);
+  }
+  AppendU64(&out, num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const size_t row = rows != nullptr ? (*rows)[r] : r;
+    AppendU64(&out, row);
+    for (size_t m = 0; m < num_properties; ++m) AppendCell(&out, truths.Get(row, m));
+  }
+  const uint64_t payload = out.size() - 4;
+  CRH_CHECK_LE(payload, uint64_t{UINT32_MAX});
+  for (size_t i = 0; i < 4; ++i) out[i] = static_cast<char>((payload >> (8 * i)) & 0xffu);
+  AppendU32(&out, Crc32(out.data(), out.size()));
+  return out;
+}
+
+namespace {
+
+/// One decoded record, held whole so a bad field rejects it before any
+/// of it reaches the state.
+struct JournalRecord {
+  IncrementalCrhState processor;
+  std::vector<int64_t> chunk_starts;
+  std::vector<std::vector<double>> weight_rows;
+  std::vector<uint64_t> rows;
+  std::vector<Value> cells;
+};
+
+Status DecodeJournalRecord(std::string_view payload, const CheckpointState& state,
+                           JournalRecord* record) {
+  Cursor cursor(payload);
+  CRH_RETURN_NOT_OK(cursor.ReadU64(&record->processor.chunks_processed));
+  CRH_RETURN_NOT_OK(cursor.ReadProcessorVectors(&record->processor));
+  const size_t num_sources = state.processor.weights.size();
+  if (record->processor.weights.size() != num_sources) {
+    return Status::InvalidArgument("journal record has a different source count");
+  }
+  uint64_t new_chunks = 0;
+  CRH_RETURN_NOT_OK(cursor.ReadU64(&new_chunks));
+  if (state.processor.chunks_processed + new_chunks != record->processor.chunks_processed) {
+    return Status::InvalidArgument("journal record does not continue the weight history");
+  }
+  if (new_chunks > cursor.remaining() / (8 * (num_sources + 1))) return Truncated();
+  record->chunk_starts.resize(new_chunks);
+  record->weight_rows.resize(new_chunks);
+  for (uint64_t c = 0; c < new_chunks; ++c) {
+    CRH_RETURN_NOT_OK(cursor.ReadI64(&record->chunk_starts[c]));
+    record->weight_rows[c].resize(num_sources);
+    for (double& w : record->weight_rows[c]) CRH_RETURN_NOT_OK(cursor.ReadF64(&w));
+  }
+  uint64_t num_rows = 0;
+  CRH_RETURN_NOT_OK(cursor.ReadU64(&num_rows));
+  const size_t num_properties = state.truths.num_properties();
+  // Each row takes its u64 index and at least one tag byte per cell.
+  if (num_rows > cursor.remaining() / (8 + num_properties)) return Truncated();
+  record->rows.resize(num_rows);
+  record->cells.resize(num_rows * num_properties);
+  for (uint64_t r = 0; r < num_rows; ++r) {
+    CRH_RETURN_NOT_OK(cursor.ReadU64(&record->rows[r]));
+    if (record->rows[r] >= state.truths.num_objects()) {
+      return Status::InvalidArgument("journal record names a row outside the truth table");
+    }
+    for (size_t m = 0; m < num_properties; ++m) {
+      CRH_RETURN_NOT_OK(cursor.ReadCell(&record->cells[r * num_properties + m]));
+    }
+  }
+  if (cursor.remaining() != 0) {
+    return Status::InvalidArgument("journal record has trailing bytes");
+  }
+  return Status::OK();
+}
+
+void ApplyRecord(JournalRecord&& record, CheckpointState* state) {
+  const size_t num_properties = state->truths.num_properties();
+  for (size_t r = 0; r < record.rows.size(); ++r) {
+    for (size_t m = 0; m < num_properties; ++m) {
+      state->truths.Set(record.rows[r], m, record.cells[r * num_properties + m]);
+    }
+  }
+  for (size_t c = 0; c < record.weight_rows.size(); ++c) {
+    state->weight_history.push_back(std::move(record.weight_rows[c]));
+    state->chunk_starts.push_back(record.chunk_starts[c]);
+  }
+  state->processor = std::move(record.processor);
+}
+
+}  // namespace
+
+JournalReplay ApplyJournal(std::string_view journal, uint32_t image_crc,
+                           CheckpointState* state) {
+  JournalReplay replay;
+  if (journal.size() < kJournalHeaderBytes ||
+      journal.substr(0, kJournalHeaderBytes) != EncodeJournalHeader(image_crc)) {
+    replay.stopped = Status::InvalidArgument("journal header is torn or names another image");
+    return replay;
+  }
+  if (!state->has_driver_state) {
+    replay.stopped = Status::InvalidArgument("journal extends an image with no driver section");
+    return replay;
+  }
+  size_t pos = kJournalHeaderBytes;
+  while (pos < journal.size()) {
+    const std::string_view rest = journal.substr(pos);
+    // The length is checked against the bytes present before anything is
+    // allocated, so a hostile header cannot trigger an over-allocation.
+    if (rest.size() < 8 || LoadU32(rest.data()) > rest.size() - 8) {
+      replay.stopped = Status::InvalidArgument("journal record " +
+                                               std::to_string(replay.records) + " is torn");
+      return replay;
+    }
+    const size_t payload = LoadU32(rest.data());
+    if (LoadU32(rest.data() + 4 + payload) != Crc32(rest.data(), 4 + payload)) {
+      replay.stopped = Status::InvalidArgument("journal record " +
+                                               std::to_string(replay.records) +
+                                               " checksum mismatch (torn or corrupted)");
+      return replay;
+    }
+    JournalRecord record;
+    replay.stopped = DecodeJournalRecord(rest.substr(4, payload), *state, &record);
+    if (!replay.stopped.ok()) return replay;
+    ApplyRecord(std::move(record), state);
+    ++replay.records;
+    pos += 8 + payload;
+  }
+  return replay;
+}
+
+// ---------------------------------------------------------------------------
+// CheckpointManager.
 
 CheckpointManager::CheckpointManager(CheckpointManagerOptions options)
     : options_(std::move(options)) {
@@ -512,6 +757,10 @@ Result<std::vector<uint64_t>> CheckpointManager::ListGenerations() const {
 }
 
 Status CheckpointManager::Save(const CheckpointState& state) {
+  return SaveImage(EncodeCheckpoint(state), state.processor.chunks_processed);
+}
+
+Status CheckpointManager::SaveImage(const std::string& image, uint64_t chunks) {
   CRH_RETURN_NOT_OK(EnsureScanned());
   // Reserve a generation number under the lock, then write it out with the
   // lock released: concurrent savers get distinct files and never hold mu_
@@ -521,28 +770,91 @@ Status CheckpointManager::Save(const CheckpointState& state) {
     const MutexLock lock(&mu_);
     generation = next_generation_++;
   }
-  const std::string bytes = EncodeCheckpoint(state);
   const std::string final_path = JoinPath(options_.dir, GenerationFileName(generation));
   const std::string tmp_path = final_path + ".tmp";
   CRH_RETURN_NOT_OK(RetryWithBackoff(options_.retry, "checkpoint save", [&] {
-    return WriteFileAtomic(tmp_path, final_path, bytes);
+    return WriteFileAtomic(tmp_path, final_path, image);
   }));
-  // Prune generations beyond keep_generations. The new checkpoint is
-  // already durable at this point, so a prune failure reports an error but
-  // never loses state; the remaining candidates are still attempted.
+  {
+    // The newest image owns the journal; a slower concurrent saver of an
+    // older generation must not take it back.
+    const MutexLock lock(&mu_);
+    if (!journal_ || journal_->generation < generation) {
+      journal_ = OpenJournal{generation, image.size(), LoadU32(image.data() + image.size() - 4),
+                             0, chunks};
+    }
+  }
+  // Prune generations (image and journal) beyond keep_generations. The new
+  // checkpoint is already durable at this point, so a prune failure
+  // reports an error but never loses state; the remaining candidates are
+  // still attempted.
   auto generations = ListGenerations();
   if (!generations.ok()) return generations.status();
   Status prune_status = Status::OK();
   const size_t keep = static_cast<size_t>(options_.keep_generations);
   for (size_t i = 0; i + keep < generations->size(); ++i) {
-    const std::string path = JoinPath(options_.dir, GenerationFileName((*generations)[i]));
-    Status removed = FailPoints::Instance().Hit("checkpoint.remove");
-    if (removed.ok() && std::remove(path.c_str()) != 0) {
-      removed = Status::IOError("cannot remove old checkpoint '" + path + "'");
+    for (const char* suffix : {".crhckpt", ".crhjrnl"}) {
+      const std::string path =
+          JoinPath(options_.dir, GenerationFileName((*generations)[i], suffix));
+      const Status removed = RemoveIfPresent(path);
+      if (prune_status.ok()) prune_status = removed;
     }
-    if (prune_status.ok()) prune_status = removed;
   }
   return prune_status;
+}
+
+Status CheckpointManager::Checkpoint(const CheckpointView& view,
+                                     const std::vector<size_t>* rows) {
+  std::optional<OpenJournal> journal;
+  {
+    const MutexLock lock(&mu_);
+    journal = journal_;
+  }
+  // Compaction rule: append while the journal is smaller than the image a
+  // compaction would write now. The cheap test against the last image
+  // gates the O(N*M) size count, so it runs only near a compaction.
+  const bool append = journal && (journal->bytes < journal->image_bytes ||
+                                  journal->bytes < EncodedCheckpointBytes(view));
+  if (append && Append(*journal, EncodeJournalRecord(view, journal->chunks, rows),
+                       view.processor->chunks_processed)
+                    .ok()) {
+    return Status::OK();
+  }
+  // No journal yet, a full one, or a failed append (which closed it): the
+  // state goes into a new generation instead.
+  return SaveImage(EncodeCheckpoint(view), view.processor->chunks_processed);
+}
+
+Status CheckpointManager::Append(const OpenJournal& journal, const std::string& record,
+                                 uint64_t chunks) {
+  const std::string path =
+      JoinPath(options_.dir, GenerationFileName(journal.generation, ".crhjrnl"));
+  const bool fresh = journal.bytes == 0;
+  const std::string bytes = fresh ? EncodeJournalHeader(journal.image_crc) + record : record;
+  Status status = FailPoints::Instance().Hit("checkpoint.journal_open");
+  std::FILE* file = nullptr;
+  if (status.ok()) {
+    file = std::fopen(path.c_str(), fresh ? "wb" : "r+b");
+    if (file == nullptr) status = Status::IOError("cannot open '" + path + "' for appending");
+  }
+  // The journal must end where the last append left it: a record written
+  // behind a torn one (a silent short write) would never be replayed.
+  if (status.ok() && !fresh &&
+      (std::fseek(file, 0, SEEK_END) != 0 ||
+       std::ftell(file) != static_cast<long>(journal.bytes))) {
+    status = Status::IOError("journal '" + path + "' does not end where the last append left it");
+  }
+  status = WriteAndClose(file, path, bytes, status);
+  const MutexLock lock(&mu_);
+  if (journal_ && journal_->generation == journal.generation) {
+    if (status.ok()) {
+      journal_->bytes += bytes.size();
+      journal_->chunks = chunks;
+    } else {
+      journal_.reset();  // its tail is suspect: the next checkpoint is an image
+    }
+  }
+  return status;
 }
 
 Result<CheckpointState> CheckpointManager::LoadLatest(uint64_t expected_fingerprint,
@@ -557,18 +869,27 @@ Result<CheckpointState> CheckpointManager::LoadLatest(uint64_t expected_fingerpr
     Status status = ReadFileWithFailPoints(path, &bytes);
     if (status.ok()) {
       auto decoded = DecodeCheckpoint(bytes);
-      if (decoded.ok()) {
-        if (decoded->fingerprint == expected_fingerprint) {
-          local.generation = generation;
-          local.fell_back = !local.rejected.empty();
-          if (report != nullptr) *report = std::move(local);
-          return decoded;
+      if (decoded.ok() && decoded->fingerprint == expected_fingerprint) {
+        // The image is good; its journal contributes its valid prefix.
+        CheckpointState state = std::move(decoded).ValueOrDie();
+        const std::string journal_path =
+            JoinPath(options_.dir, GenerationFileName(generation, ".crhjrnl"));
+        std::string journal;
+        Status read = ReadFileWithFailPoints(journal_path, &journal);
+        if (read.ok() && !journal.empty()) {
+          read = ApplyJournal(journal, LoadU32(bytes.data() + bytes.size() - 4), &state).stopped;
         }
-        status = Status::FailedPrecondition(
-            "fingerprint mismatch (written with different options or data)");
-      } else {
-        status = decoded.status();
+        if (!read.ok() && read.code() != StatusCode::kNotFound) {
+          local.rejected.push_back(journal_path + ": " + read.message());
+        }
+        local.generation = generation;
+        local.fell_back = !local.rejected.empty();
+        if (report != nullptr) *report = std::move(local);
+        return state;
       }
+      status = decoded.ok() ? Status::FailedPrecondition(
+                                  "fingerprint mismatch (written with different options or data)")
+                            : decoded.status();
     }
     local.rejected.push_back(path + ": " + status.message());
   }
@@ -579,10 +900,10 @@ Result<CheckpointState> CheckpointManager::LoadLatest(uint64_t expected_fingerpr
 }
 
 std::vector<std::string> CheckpointFailPointSites() {
-  return {"checkpoint.list",   "checkpoint.open_write", "checkpoint.fwrite",
-          "checkpoint.fflush", "checkpoint.fclose",     "checkpoint.rename",
-          "checkpoint.remove", "checkpoint.open_read",  "checkpoint.fread",
-          "checkpoint.create_dir"};
+  return {"checkpoint.list",      "checkpoint.open_write",   "checkpoint.fwrite",
+          "checkpoint.fflush",    "checkpoint.fclose",       "checkpoint.rename",
+          "checkpoint.remove",    "checkpoint.open_read",    "checkpoint.fread",
+          "checkpoint.create_dir", "checkpoint.journal_open"};
 }
 
 std::vector<std::string> StreamFailPointSites() {

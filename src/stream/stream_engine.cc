@@ -90,6 +90,11 @@ Status StreamEngine::ApplyChunk(const DataChunk& chunk, bool force_checkpoint) {
     return Status::OK();
   }
   CRH_FAIL_POINT("stream.process_chunk");
+  if (!manager_ || last_checkpoint_chunks_ == applied_) {
+    written_rows_.clear();
+    written_starts_.clear();
+    written_base_ = applied_;
+  }
   auto truths = processor_.ProcessChunk(chunk.data);
   if (!truths.ok()) return truths.status();
   if (options_.delta_solve == DeltaSolveMode::kFull) {
@@ -106,6 +111,9 @@ Status StreamEngine::ApplyChunk(const DataChunk& chunk, bool force_checkpoint) {
         truths_.Set(chunk.parent_object[local], m, truths->Get(local, m));
       }
     }
+    written_starts_.push_back(written_rows_.size());
+    written_rows_.insert(written_rows_.end(), chunk.parent_object.begin(),
+                         chunk.parent_object.end());
   }
   weight_history_.push_back(processor_.source_weights());
   chunk_starts_.push_back(chunk.window_start);
@@ -121,14 +129,10 @@ Status StreamEngine::ApplyChunk(const DataChunk& chunk, bool force_checkpoint) {
 
 Status StreamEngine::WriteCheckpoint() {
   if (!manager_) return Status::OK();
-  CheckpointState state;
-  state.fingerprint = fingerprint_;
-  state.processor = processor_.ExportState();
-  state.has_driver_state = true;
-  state.truths = truths_;
-  state.weight_history = weight_history_;
-  state.chunk_starts = chunk_starts_;
-  CRH_RETURN_NOT_OK(manager_->Save(state));
+  const IncrementalCrhState processor = processor_.ExportState();
+  const CheckpointView view{fingerprint_, &processor, &truths_, &weight_history_, &chunk_starts_};
+  const bool cumulative = options_.delta_solve == DeltaSolveMode::kFull;
+  CRH_RETURN_NOT_OK(manager_->Checkpoint(view, cumulative ? nullptr : &written_rows_));
   ++checkpoints_written_;
   last_checkpoint_chunks_ = applied_;
   return Status::OK();
@@ -146,6 +150,25 @@ IncrementalCrhResult StreamEngine::Finish() && {
   result.checkpoints_written = checkpoints_written_;
   result.resumed_from_fallback = resumed_from_fallback_;
   return result;
+}
+
+std::span<const size_t> StreamEngine::RowsWrittenAfter(uint64_t chunks) const {
+  const uint64_t j = chunks - written_base_;
+  const size_t begin = j < written_starts_.size() ? written_starts_[j] : written_rows_.size();
+  return std::span<const size_t>(written_rows_).subspan(begin);
+}
+
+const PagedValueTable& StreamEngine::truth_pages() const {
+  if (pages_chunks_ != applied_) {
+    if (pages_chunks_ && *pages_chunks_ >= written_base_ &&
+        options_.delta_solve == DeltaSolveMode::kOff) {
+      pages_.CopyRows(truths_, RowsWrittenAfter(*pages_chunks_));
+    } else {
+      pages_ = PagedValueTable(truths_);
+    }
+    pages_chunks_ = applied_;
+  }
+  return pages_;
 }
 
 void StreamEngine::AppendClaims(const DataChunk& chunk) {

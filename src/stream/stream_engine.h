@@ -30,11 +30,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "core/crh.h"
 #include "data/claim_index.h"
+#include "data/table.h"
 #include "stream/checkpoint.h"
 #include "stream/chunks.h"
 #include "stream/incremental_crh.h"
@@ -88,8 +90,16 @@ class StreamEngine {
   /// (OK) when checkpointing is disabled.
   [[nodiscard]] Status WriteCheckpoint();
 
-  // -- Snapshot accessors (the server's epoch publication copies these). --
+  // -- Snapshot accessors (the server's epoch publication reads these). --
   const ValueTable& truths() const { return truths_; }
+
+  /// truths() as copy-on-write pages, brought up to date on each call: the
+  /// pages holding rows written since the previous call are copied afresh,
+  /// every other page is shared with the table the previous call returned
+  /// (and so with the snapshots built from it). O(rows written) under
+  /// DeltaSolveMode::kOff; a whole-table copy under kFull, which rewrites
+  /// every row, and after a skipped call the row record no longer covers.
+  const PagedValueTable& truth_pages() const;
   const std::vector<double>& source_weights() const {
     return processor_.source_weights();
   }
@@ -115,6 +125,9 @@ class StreamEngine {
   /// filtered them — into claims_so_far_.
   void AppendClaims(const DataChunk& chunk);
 
+  /// The rows of written_rows_ that chunks after the first `chunks` wrote.
+  std::span<const size_t> RowsWrittenAfter(uint64_t chunks) const;
+
   const Dataset* parent_;
   IncrementalCrhOptions options_;
   StreamResilienceOptions resilience_;
@@ -127,6 +140,19 @@ class StreamEngine {
   /// per-chunk re-solve reuses.
   ClaimIndex claims_so_far_;
   SolverWorkspace workspace_;
+  /// The single record of which truth rows changed: the rows kOff chunks
+  /// wrote (each chunk's parent_object), for the chunks after the first
+  /// written_base_, with written_starts_[j] the offset of chunk
+  /// written_base_ + j's rows. Checkpoint records and truth_pages() both
+  /// read it; it restarts at the first chunk after a checkpoint (or every
+  /// chunk when nothing checkpoints). kFull writes every row and keeps no
+  /// record.
+  std::vector<size_t> written_rows_;
+  std::vector<size_t> written_starts_;
+  uint64_t written_base_ = 0;
+  /// truth_pages()'s table and the chunks_applied() it reflects.
+  mutable PagedValueTable pages_;
+  mutable std::optional<uint64_t> pages_chunks_;
   std::optional<CheckpointManager> manager_;
   uint64_t fingerprint_ = 0;
   uint64_t applied_ = 0;

@@ -7,13 +7,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "datagen/noise.h"
+#include "stream/stream_engine.h"
 
 namespace crh {
 namespace {
@@ -63,6 +66,20 @@ CheckpointState MakeDriverState() {
   return state;
 }
 
+/// MakeDriverState() one chunk later: a new history row and start, new
+/// weights, and truth row 1 written.
+CheckpointState NextDriverState(CheckpointState state) {
+  state.processor.chunks_processed += 1;
+  state.processor.weights = {2.0, 0.5, 1.25};
+  state.processor.accumulated = {11.0, 19.5, 4.0};
+  state.processor.quarantined_per_source[1] += 1;
+  state.weight_history.push_back(state.processor.weights);
+  state.chunk_starts.push_back(9);
+  state.truths.Set(1, 0, Value::Continuous(-7.5));
+  state.truths.Set(1, 1, Value::Categorical(3));
+  return state;
+}
+
 void ExpectStatesEqual(const CheckpointState& a, const CheckpointState& b) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.processor.weights, b.processor.weights);
@@ -83,16 +100,18 @@ void ExpectStatesEqual(const CheckpointState& a, const CheckpointState& b) {
   }
 }
 
-/// Flips one bit in the middle of a checkpoint file on disk.
-void CorruptFile(const std::string& path) {
+/// Flips one bit of the byte at `pos` of a checkpoint file on disk (from
+/// the end when negative).
+void FlipByte(const std::string& path, int64_t pos) {
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
+    ASSERT_TRUE(in.good()) << path;
     bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
   ASSERT_GT(bytes.size(), 0u);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+  const size_t at = static_cast<size_t>(pos < 0 ? static_cast<int64_t>(bytes.size()) + pos : pos);
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good());
@@ -149,6 +168,42 @@ void ExpectResultsEqual(const IncrementalCrhResult& a, const IncrementalCrhResul
     for (size_t m = 0; m < a.truths.num_properties(); ++m) {
       EXPECT_TRUE(a.truths.Get(i, m) == b.truths.Get(i, m))
           << "truth mismatch at (" << i << ", " << m << ")";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32(std::string_view("123456789")), 0xCBF43926u);  // zlib's check value
+  EXPECT_EQ(Crc32(std::string_view("")), 0u);
+  EXPECT_EQ(Crc32(std::string_view("a")), 0xE8B7BE43u);
+}
+
+TEST(Crc32Test, SplitUpdatesEqualOneWholeUpdate) {
+  // Lengths around the 8-byte step and odd start offsets exercise the
+  // slice-by-8 loop, its bytewise tail and unaligned loads.
+  std::string bytes(300, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 37 + 11);
+  // Every prefix against the bit-at-a-time definition.
+  uint32_t reference = 0xFFFFFFFFu;
+  for (size_t len = 1; len <= bytes.size(); ++len) {
+    reference ^= static_cast<unsigned char>(bytes[len - 1]);
+    for (int bit = 0; bit < 8; ++bit) {
+      reference = (reference & 1u) ? (0xEDB88320u ^ (reference >> 1)) : (reference >> 1);
+    }
+    ASSERT_EQ(Crc32(bytes.data(), len), reference ^ 0xFFFFFFFFu) << "length " << len;
+  }
+  for (const size_t offset : std::vector<size_t>{0, 1, 3, 7}) {
+    for (const size_t len : std::vector<size_t>{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255}) {
+      const char* data = bytes.data() + offset;
+      const uint32_t whole = Crc32Update(0, data, len);
+      for (size_t cut : {size_t{0}, len / 3, len / 2, len}) {
+        const uint32_t split = Crc32Update(Crc32Update(0, data, cut), data + cut, len - cut);
+        EXPECT_EQ(split, whole) << "offset " << offset << " len " << len << " cut " << cut;
+      }
     }
   }
 }
@@ -321,7 +376,8 @@ TEST_F(CheckpointTest, ManagerFallsBackPastCorruptNewest) {
   CheckpointState new_state = MakeProcessorState();
   new_state.processor.weights[0] = 42.0;
   ASSERT_TRUE(manager.Save(new_state).ok());
-  CorruptFile(options.dir + "/ckpt-00000000000000000001.crhckpt");
+  const std::string newest = options.dir + "/ckpt-00000000000000000001.crhckpt";
+  FlipByte(newest, static_cast<int64_t>(std::filesystem::file_size(newest) / 2));
 
   CheckpointLoadReport report;
   auto loaded = manager.LoadLatest(old_state.fingerprint, &report);
@@ -488,6 +544,8 @@ TEST_F(CheckpointTest, FailPointSiteListIsComplete) {
   FailPoints::Instance().SetRecording(true);
   CheckpointManager manager(options);
   ASSERT_TRUE(manager.Save(state).ok());
+  const std::vector<size_t> rows = {0};
+  ASSERT_TRUE(manager.Checkpoint(ViewOf(NextDriverState(state)), &rows).ok());  // a record
   ASSERT_TRUE(manager.LoadLatest(state.fingerprint).ok());
   const auto recorded = FailPoints::Instance().RecordedHits();
   FailPoints::Instance().ClearAll();
@@ -536,6 +594,370 @@ TEST_F(CheckpointTest, StreamFailPointSiteListIsComplete) {
         << "undeclared streaming fail-point site " << site;
   }
   EXPECT_TRUE(saw_process_chunk);
+}
+
+// ---------------------------------------------------------------------------
+// Journal
+// ---------------------------------------------------------------------------
+
+/// A small mixed-type universe of `objects` objects claimed by `sources`
+/// sources, and chunks that revisit it: chunk c holds `per_chunk`
+/// consecutive objects (mod N) from (c * per_chunk) mod N, each claimed by
+/// every source with chunk-dependent noise.
+Dataset MakeUniverse(size_t objects, size_t sources) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddContinuous("x", 0.0).ok());
+  EXPECT_TRUE(schema.AddCategorical("y").ok());
+  std::vector<std::string> object_ids;
+  for (size_t i = 0; i < objects; ++i) object_ids.push_back("o" + std::to_string(i));
+  std::vector<std::string> source_ids;
+  for (size_t k = 0; k < sources; ++k) source_ids.push_back("s" + std::to_string(k));
+  Dataset universe(std::move(schema), std::move(object_ids), std::move(source_ids));
+  for (const char* l : {"a", "b", "c", "d"}) universe.mutable_dict(1).GetOrAdd(l);
+  return universe;
+}
+
+DataChunk MakeRevisitingChunk(const Dataset& universe, uint64_t c, size_t per_chunk) {
+  DataChunk chunk;
+  chunk.window_start = static_cast<int64_t>(c);
+  std::vector<std::string> ids;
+  for (size_t j = 0; j < per_chunk; ++j) {
+    const size_t parent = (c * per_chunk + j) % universe.num_objects();
+    chunk.parent_object.push_back(parent);
+    ids.push_back(universe.object_id(parent));
+  }
+  chunk.data = Dataset(universe.schema(), std::move(ids), universe.source_ids());
+  for (const char* l : {"a", "b", "c", "d"}) chunk.data.mutable_dict(1).GetOrAdd(l);
+  for (size_t k = 0; k < universe.num_sources(); ++k) {
+    for (size_t j = 0; j < per_chunk; ++j) {
+      const uint64_t noise = Mix64(c * 131 + k * 17 + j);
+      const double x = static_cast<double>(chunk.parent_object[j]) +
+                       static_cast<double>(noise % 64) * 0.125 * static_cast<double>(k);
+      chunk.data.SetObservation(k, j, 0, Value::Continuous(x));
+      chunk.data.SetObservation(
+          k, j, 1, Value::Categorical(static_cast<CategoryId>((noise >> 8) % (k + 1) % 4)));
+    }
+  }
+  return chunk;
+}
+
+/// The engine's full driver state, as a checkpoint image would hold it.
+CheckpointState FullState(const StreamEngine& engine, uint64_t fingerprint) {
+  CheckpointState state;
+  state.fingerprint = fingerprint;
+  state.processor.weights = engine.source_weights();
+  state.processor.accumulated = engine.accumulated_deviations();
+  state.processor.quarantined_per_source = engine.quarantined_per_source();
+  state.processor.chunks_processed = engine.weight_history().size();
+  state.has_driver_state = true;
+  state.truths = engine.truths();
+  state.weight_history = engine.weight_history();
+  state.chunk_starts = engine.chunk_starts();
+  return state;
+}
+
+std::string GenerationPath(const std::string& dir, uint64_t generation,
+                           const char* suffix = ".crhckpt") {
+  const std::string digits = std::to_string(generation);
+  return dir + "/ckpt-" + std::string(20 - digits.size(), '0') + digits + suffix;
+}
+
+std::string JournalPath(const std::string& dir, uint64_t generation) {
+  return GenerationPath(dir, generation, ".crhjrnl");
+}
+
+TEST_F(CheckpointTest, JournalReplayEqualsTheFullImageAfterEveryChunk) {
+  // The oracle: after every chunk, resume (a fresh manager's LoadLatest:
+  // newest image plus its journal) yields exactly the bytes a full image of
+  // the state at the last checkpoint point would — under both truth
+  // maintenance modes and with records spanning one or three chunks. The
+  // kOff stream revisits its objects; the cumulative index of kFull takes
+  // each (entry, source) claim once, so its stream never does.
+  for (const DeltaSolveMode mode : {DeltaSolveMode::kOff, DeltaSolveMode::kFull}) {
+    const Dataset universe = MakeUniverse(mode == DeltaSolveMode::kOff ? 150 : 480, 4);
+    for (const uint64_t every : {uint64_t{1}, uint64_t{3}}) {
+      const std::string tag = std::string(mode == DeltaSolveMode::kOff ? "off" : "full") +
+                              "_every" + std::to_string(every);
+      SCOPED_TRACE(tag);
+      IncrementalCrhOptions options;
+      options.decay = 0.5;
+      options.delta_solve = mode;
+      StreamResilienceOptions resilience;
+      resilience.checkpoint_dir = FreshDir("_" + tag);
+      resilience.checkpoint_every = every;
+      auto engine = StreamEngine::Open(universe, options, resilience);
+      ASSERT_TRUE(engine.ok()) << engine.status().message();
+      const uint64_t fingerprint =
+          CheckpointFingerprint(options, universe.num_sources(), &universe);
+      CheckpointManagerOptions reader_options;
+      reader_options.dir = resilience.checkpoint_dir;
+      std::string expected;
+      bool saw_journal = false;
+      for (uint64_t c = 0; c < 40; ++c) {
+        ASSERT_TRUE((*engine)->ApplyChunk(MakeRevisitingChunk(universe, c, 12), false).ok());
+        if ((*engine)->last_checkpoint_chunks() == c + 1) {
+          auto decoded = DecodeCheckpoint(EncodeCheckpoint(FullState(**engine, fingerprint)));
+          ASSERT_TRUE(decoded.ok());
+          expected = EncodeCheckpoint(*decoded);
+        }
+        CheckpointManager reader(reader_options);
+        CheckpointLoadReport report;
+        auto loaded = reader.LoadLatest(fingerprint, &report);
+        if (expected.empty()) {
+          EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound) << "chunk " << c;
+          continue;
+        }
+        ASSERT_TRUE(loaded.ok()) << "chunk " << c << ": " << loaded.status().message();
+        EXPECT_FALSE(report.fell_back) << "chunk " << c;
+        saw_journal = saw_journal || std::filesystem::exists(
+                                         JournalPath(resilience.checkpoint_dir, report.generation));
+        EXPECT_TRUE(EncodeCheckpoint(*loaded) == expected) << "chunk " << c;
+      }
+      // Both paths ran: records were appended, and compaction started new
+      // generations.
+      EXPECT_TRUE(saw_journal);
+      CheckpointManager reader(reader_options);
+      auto generations = reader.ListGenerations();
+      ASSERT_TRUE(generations.ok());
+      EXPECT_GE(generations->back(), 2u);
+    }
+  }
+}
+
+TEST_F(CheckpointTest, JournalBytesPerChunkStayFlat) {
+  // A deterministic 5k-chunk soak over 48 objects. Each chunk appends one
+  // record of the same size from the first chunk to the last, although the
+  // weight history (and with it every image) grows all along; and counting
+  // compaction images too, a chunk costs at most two records' bytes. The
+  // cold-start image of chunk 1 is a one-off, not a per-chunk cost, and
+  // is left out of the amortized count. Bytes only: nothing here is timed.
+  const Dataset universe = MakeUniverse(48, 4);
+  constexpr uint64_t kChunks = 5000;
+  constexpr uint64_t kHeaderBytes = 12;
+  IncrementalCrhOptions options;
+  StreamResilienceOptions resilience;
+  resilience.checkpoint_dir = FreshDir();
+  auto engine = StreamEngine::Open(universe, options, resilience);
+  ASSERT_TRUE(engine.ok());
+  CheckpointManagerOptions lister_options;
+  lister_options.dir = resilience.checkpoint_dir;
+  const CheckpointManager lister(lister_options);
+
+  std::vector<uint64_t> record_bytes;  // per appending chunk, header excluded
+  std::vector<uint64_t> record_chunk;
+  uint64_t written_after_first = 0;
+  uint64_t images = 0;
+  uint64_t generation = 0;
+  uint64_t journal_bytes = 0;
+  for (uint64_t c = 0; c < kChunks; ++c) {
+    ASSERT_TRUE((*engine)->ApplyChunk(MakeRevisitingChunk(universe, c, 4), false).ok());
+    auto generations = lister.ListGenerations();
+    ASSERT_TRUE(generations.ok());
+    const std::string journal = JournalPath(resilience.checkpoint_dir, generations->back());
+    const uint64_t now = std::filesystem::exists(journal) ? std::filesystem::file_size(journal) : 0;
+    if (c == 0 || generations->back() != generation) {
+      ++images;
+      ASSERT_EQ(now, 0u);
+      if (c > 0) {
+        written_after_first += std::filesystem::file_size(
+            GenerationPath(resilience.checkpoint_dir, generations->back()));
+      }
+    } else {
+      const uint64_t appended = now - journal_bytes;
+      written_after_first += appended;
+      record_bytes.push_back(appended - (journal_bytes == 0 ? kHeaderBytes : 0));
+      record_chunk.push_back(c);
+    }
+    generation = generations->back();
+    journal_bytes = now;
+  }
+  ASSERT_FALSE(record_bytes.empty());
+  const uint64_t record = record_bytes.front();
+  for (size_t r = 0; r < record_bytes.size(); ++r) {
+    const bool first_tenth = record_chunk[r] < kChunks / 10;
+    const bool last_tenth = record_chunk[r] >= kChunks - kChunks / 10;
+    if (first_tenth || last_tenth) {
+      EXPECT_EQ(record_bytes[r], record) << "record of chunk " << record_chunk[r];
+    }
+  }
+  EXPECT_GT(images, 2u);
+  EXPECT_LE(written_after_first, 2 * record * (kChunks - 1))
+      << images << " images, one record " << record << " bytes";
+}
+
+TEST_F(CheckpointTest, ImageOnlyDirectoryStillResumes) {
+  // A directory an older build wrote holds images and no journal; resume
+  // restores the newest image alone.
+  const Dataset data = MakeStreamData(6, 12);
+  IncrementalCrhOptions options;
+  auto baseline = RunIncrementalCrh(data, options);
+  ASSERT_TRUE(baseline.ok());
+  auto chunks = SplitByWindow(data, options.window_size);
+  ASSERT_TRUE(chunks.ok());
+  auto engine = StreamEngine::Open(data, options, StreamResilienceOptions{});
+  ASSERT_TRUE(engine.ok());
+  for (size_t c = 0; c < 3; ++c) ASSERT_TRUE((*engine)->ApplyChunk((*chunks)[c], false).ok());
+
+  StreamResilienceOptions resilience;
+  resilience.checkpoint_dir = FreshDir();
+  CheckpointManagerOptions manager_options;
+  manager_options.dir = resilience.checkpoint_dir;
+  CheckpointManager manager(manager_options);
+  ASSERT_TRUE(
+      manager
+          .Save(FullState(**engine, CheckpointFingerprint(options, data.num_sources(), &data)))
+          .ok());
+  ASSERT_FALSE(std::filesystem::exists(JournalPath(resilience.checkpoint_dir, 0)));
+
+  resilience.resume = true;
+  auto resumed = RunIncrementalCrhResilient(data, options, resilience);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed->chunks_resumed, 3u);
+  EXPECT_FALSE(resumed->resumed_from_fallback);
+  ExpectResultsEqual(*baseline, *resumed);
+}
+
+TEST_F(CheckpointTest, JournalAppendFaultSweepNeverLosesState) {
+  // Every fail-point hit of one journal append, failed in turn: the
+  // checkpoint either lands (the failed append fell back to a new image)
+  // or reports an IOError, and resume yields exactly the new state or the
+  // previous one — never a mix, never a temp file. (A failed flush or
+  // close may still have put the whole record on disk; resuming the new
+  // state then is right.)
+  const CheckpointState first = MakeDriverState();
+  const CheckpointState second = NextDriverState(first);
+  const std::vector<size_t> rows = {1};
+  CheckpointManagerOptions options;
+  options.retry = NoRetry();
+  auto seed = [&](const std::string& dir) {
+    options.dir = dir;
+    auto manager = std::make_unique<CheckpointManager>(options);
+    EXPECT_TRUE(manager->Checkpoint(ViewOf(first), &rows).ok());  // the image
+    return manager;
+  };
+  {
+    auto probe = seed(FreshDir("_probe"));
+    FailPoints::Instance().SetRecording(true);
+    ASSERT_TRUE(probe->Checkpoint(ViewOf(second), &rows).ok());
+    EXPECT_TRUE(std::filesystem::exists(JournalPath(options.dir, 0)));
+  }
+  const auto recorded = FailPoints::Instance().RecordedHits();
+  FailPoints::Instance().ClearAll();
+  ASSERT_TRUE(std::any_of(recorded.begin(), recorded.end(),
+                          [](const auto& hit) { return hit.first == "checkpoint.journal_open"; }));
+  const std::string first_bytes = EncodeCheckpoint(first);
+  const std::string second_bytes = EncodeCheckpoint(second);
+  size_t cases = 0;
+  for (const auto& [site, hits] : recorded) {
+    for (uint64_t hit = 1; hit <= hits; ++hit) {
+      const std::string where = site + " hit " + std::to_string(hit);
+      // Fail this hit of the append, and the image fallback's writes too,
+      // so the IOError path is reached as well as the fallback.
+      for (const bool fail_fallback : {false, true}) {
+        auto writer = seed(FreshDir("_" + site + "_" + std::to_string(hit) +
+                                    (fail_fallback ? "_nofallback" : "")));
+        FailPoints::Instance().FailOnHit(site, hit);
+        if (fail_fallback) FailPoints::Instance().FailNext("checkpoint.open_write", 1000);
+        const Status status = writer->Checkpoint(ViewOf(second), &rows);
+        FailPoints::Instance().ClearAll();
+        ++cases;
+        if (!status.ok()) {
+          EXPECT_EQ(status.code(), StatusCode::kIOError) << where;
+        }
+        EXPECT_FALSE(DirHasTempFiles(options.dir)) << where;
+        CheckpointManager reader(options);
+        auto loaded = reader.LoadLatest(first.fingerprint);
+        ASSERT_TRUE(loaded.ok()) << where << ": " << loaded.status().message();
+        const std::string got = EncodeCheckpoint(*loaded);
+        EXPECT_TRUE(got == second_bytes || (!status.ok() && got == first_bytes)) << where;
+      }
+    }
+  }
+  EXPECT_GE(cases, 8u);  // open, write, flush, close — with and without fallback
+}
+
+TEST_F(CheckpointTest, SilentShortJournalAppendIsDetectedAndRepaired) {
+  // A silent short write on an append: only 7 bytes of the record reach the
+  // disk while every return code reports success. Resume falls back to the
+  // image; the next checkpoint notices the journal does not end where the
+  // append left it and starts a new generation instead of writing a record
+  // no replay would reach.
+  const CheckpointState first = MakeDriverState();
+  const CheckpointState second = NextDriverState(first);
+  CheckpointState third = NextDriverState(second);
+  third.truths.Set(2, 0, Value::Continuous(0.25));
+  const std::vector<size_t> rows = {1, 2};
+  CheckpointManagerOptions options;
+  options.dir = FreshDir();
+  options.retry = NoRetry();
+  CheckpointManager writer(options);
+  ASSERT_TRUE(writer.Checkpoint(ViewOf(first), &rows).ok());
+  FailPoints::Instance().ShortWriteOnHit("checkpoint.fwrite", 1, 7);
+  ASSERT_TRUE(writer.Checkpoint(ViewOf(second), &rows).ok());
+  FailPoints::Instance().ClearAll();
+
+  CheckpointManager reader(options);
+  CheckpointLoadReport report;
+  auto loaded = reader.LoadLatest(first.fingerprint, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(report.fell_back);
+  ASSERT_EQ(report.rejected.size(), 1u);
+  EXPECT_NE(report.rejected[0].find("torn"), std::string::npos) << report.rejected[0];
+  EXPECT_TRUE(EncodeCheckpoint(*loaded) == EncodeCheckpoint(first));
+
+  ASSERT_TRUE(writer.Checkpoint(ViewOf(third), &rows).ok());
+  auto generations = writer.ListGenerations();
+  ASSERT_TRUE(generations.ok());
+  EXPECT_EQ(generations->back(), 1u);
+  loaded = reader.LoadLatest(first.fingerprint, &report);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_FALSE(report.fell_back);
+  EXPECT_TRUE(EncodeCheckpoint(*loaded) == EncodeCheckpoint(third));
+}
+
+TEST_F(CheckpointTest, JournalRejectsHostileRecordsWithoutAllocating) {
+  CheckpointState image = MakeDriverState();
+  const std::string image_bytes = EncodeCheckpoint(image);
+  const uint32_t crc = Crc32(image_bytes.data(), image_bytes.size() - 4);
+  const CheckpointState next = NextDriverState(image);
+  const std::vector<size_t> rows = {1};
+  const std::string header = EncodeJournalHeader(crc);
+  const std::string record =
+      EncodeJournalRecord(ViewOf(next), image.processor.chunks_processed, &rows);
+
+  CheckpointState state = image;
+  JournalReplay replay = ApplyJournal(header + record, crc, &state);
+  EXPECT_TRUE(replay.stopped.ok()) << replay.stopped.message();
+  EXPECT_EQ(replay.records, 1u);
+  EXPECT_TRUE(EncodeCheckpoint(state) == EncodeCheckpoint(next));
+
+  // Every truncation of the record applies nothing and names it torn.
+  for (size_t len = 0; len < record.size(); ++len) {
+    state = image;
+    replay = ApplyJournal(header + record.substr(0, len), crc, &state);
+    EXPECT_EQ(replay.records, 0u);
+    EXPECT_EQ(replay.stopped.ok(), len == 0) << "prefix " << len;
+    EXPECT_TRUE(EncodeCheckpoint(state) == image_bytes);
+  }
+  // A flipped bit anywhere, a huge length header, or another image's CRC.
+  for (size_t pos = 0; pos < record.size(); ++pos) {
+    std::string bad = record;
+    bad[pos] = static_cast<char>(bad[pos] ^ 0x04);
+    state = image;
+    EXPECT_FALSE(ApplyJournal(header + bad, crc, &state).stopped.ok()) << "flip at " << pos;
+  }
+  std::string huge = record;
+  for (size_t i = 0; i < 4; ++i) huge[i] = '\xff';
+  state = image;
+  EXPECT_FALSE(ApplyJournal(header + huge, crc, &state).stopped.ok());
+  EXPECT_FALSE(ApplyJournal(header + record, crc ^ 1, &state).stopped.ok());
+  EXPECT_TRUE(EncodeCheckpoint(state) == image_bytes);
+}
+
+TEST_F(CheckpointTest, EncodedCheckpointBytesMatchesTheEncoding) {
+  for (const CheckpointState& state : {MakeProcessorState(), MakeDriverState()}) {
+    EXPECT_EQ(EncodedCheckpointBytes(ViewOf(state)), EncodeCheckpoint(state).size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,9 +1021,10 @@ TEST_F(CheckpointTest, ResumeFallsBackPastCorruptNewestCheckpoint) {
   ASSERT_FALSE(RunIncrementalCrhResilient(data, options, resilience).ok());
   FailPoints::Instance().ClearAll();
 
-  // Generations 0..2 were written and the default keep_generations=2 kept
-  // {1, 2}; tearing the newest forces resume to fall back to generation 1.
-  CorruptFile(resilience.checkpoint_dir + "/ckpt-00000000000000000002.crhckpt");
+  // Chunk 1 wrote the image of generation 0, chunks 2 and 3 appended one
+  // journal record each; corrupting the newest record (its last byte
+  // belongs to its CRC) forces resume back to the state after chunk 2.
+  FlipByte(resilience.checkpoint_dir + "/ckpt-00000000000000000000.crhjrnl", -1);
   resilience.resume = true;
   auto resumed = RunIncrementalCrhResilient(data, options, resilience);
   ASSERT_TRUE(resumed.ok()) << resumed.status().message();

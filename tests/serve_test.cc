@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <random>
@@ -30,6 +31,7 @@
 #include "serve/snapshot.h"
 #include "stream/chunks.h"
 #include "stream/checkpoint.h"
+#include "stream/stream_engine.h"
 
 namespace crh {
 namespace {
@@ -912,6 +914,84 @@ TEST_F(ServeHandlerTest, TwoRequestsInOneWrite) {
   EXPECT_TRUE(ping.Find("ok")->bool_value);
   EXPECT_EQ(ping.Find("epoch"), nullptr);  // the ping reply, not a status
   DrainAndWait(server.get());
+}
+
+// ---------------------------------------------------------------------------
+// Paged snapshots: copy-on-write truth pages
+// ---------------------------------------------------------------------------
+
+void ExpectPagedEquals(const PagedValueTable& paged, const ValueTable& table,
+                       const std::string& where) {
+  ASSERT_EQ(paged.num_objects(), table.num_objects()) << where;
+  ASSERT_EQ(paged.num_properties(), table.num_properties()) << where;
+  for (size_t i = 0; i < table.num_objects(); ++i) {
+    for (size_t m = 0; m < table.num_properties(); ++m) {
+      ASSERT_TRUE(paged.Get(i, m) == table.Get(i, m))
+          << where << ": cell (" << i << ", " << m << ")";
+    }
+  }
+}
+
+TEST(PagedSnapshotTest, EveryEpochEqualsAFromScratchSnapshot) {
+  // 16 chunks of 40 consecutive objects over 640 rows (10 pages): each
+  // epoch re-copies the pages its chunk wrote and shares the rest. Every
+  // published epoch must equal the engine's whole table (what a
+  // from-scratch snapshot copies) cell by cell,
+  // and must still equal it after all later epochs were published (no
+  // write reached a shared page). Variants: the cumulative re-solve, a
+  // row record spanning three chunks, skipped publishes, and a resumed
+  // engine that publishes while it replays.
+  const Dataset data = MakeServeDataset(16, 40);
+  auto chunks = SplitByWindow(data, 1);
+  ASSERT_TRUE(chunks.ok());
+  struct Variant {
+    const char* name;
+    DeltaSolveMode mode;
+    uint64_t checkpoint_every;  // 0: no checkpoints
+    uint64_t publish_every;
+    size_t resume_after;  // 0: cold start
+  };
+  for (const Variant& v : {Variant{"off", DeltaSolveMode::kOff, 0, 1, 0},
+                           Variant{"off_every3", DeltaSolveMode::kOff, 3, 1, 0},
+                           Variant{"off_skip", DeltaSolveMode::kOff, 0, 2, 0},
+                           Variant{"full", DeltaSolveMode::kFull, 0, 1, 0},
+                           Variant{"off_resume", DeltaSolveMode::kOff, 1, 1, 6}}) {
+    SCOPED_TRACE(v.name);
+    IncrementalCrhOptions options;
+    options.delta_solve = v.mode;
+    StreamResilienceOptions resilience;
+    if (v.checkpoint_every > 0) {
+      resilience.checkpoint_dir = testing::TempDir() + "crh_paged_" + v.name;
+      std::filesystem::remove_all(resilience.checkpoint_dir);
+      resilience.checkpoint_every = v.checkpoint_every;
+    }
+    if (v.resume_after > 0) {
+      auto first = StreamEngine::Open(data, options, resilience);
+      ASSERT_TRUE(first.ok());
+      for (size_t c = 0; c < v.resume_after; ++c) {
+        ASSERT_TRUE((*first)->ApplyChunk((*chunks)[c], false).ok());
+      }
+      resilience.resume = true;
+    }
+    auto engine = StreamEngine::Open(data, options, resilience);
+    ASSERT_TRUE(engine.ok()) << engine.status().message();
+    EXPECT_EQ((*engine)->chunks_resumed(), v.resume_after);
+    std::vector<std::pair<std::shared_ptr<const ServeSnapshot>, ValueTable>> epochs;
+    for (size_t c = 0; c < chunks->size(); ++c) {
+      ASSERT_TRUE((*engine)->ApplyChunk((*chunks)[c], false).ok());
+      if (c % v.publish_every != v.publish_every - 1) continue;
+      auto snapshot =
+          std::make_shared<const ServeSnapshot>(SnapshotFromEngine(**engine, epochs.size()));
+      ExpectPagedEquals(snapshot->truths, (*engine)->truths(),
+                        "epoch " + std::to_string(epochs.size()));
+      epochs.emplace_back(std::move(snapshot), (*engine)->truths());
+    }
+    for (size_t e = 0; e < epochs.size(); ++e) {
+      ExpectPagedEquals(epochs[e].first->truths, epochs[e].second,
+                        "epoch " + std::to_string(e) + " after the stream");
+    }
+    if (!resilience.checkpoint_dir.empty()) std::filesystem::remove_all(resilience.checkpoint_dir);
+  }
 }
 
 // ---------------------------------------------------------------------------
